@@ -57,7 +57,7 @@ def main() -> None:
         fail(f"not valid JSON: {e}")
 
     required = [
-        "backend", "seed", "shards", "classifier", "batch", "partition",
+        "backend", "seed", "shards", "batch", "partition",
         "edge_cut", "edge_total", "injected", "delivered", "dropped",
         "switch_hops", "events_detected", "config_transitions",
         "elapsed_sec", "trace_entries", "shard_detail", "consistency",

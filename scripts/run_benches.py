@@ -35,7 +35,7 @@ default   run `bench/engine_throughput --json --seed 1 --partition
 
 --scaling-gate (any mode) additionally fails if a multi-shard
           configuration is slower than the 1-shard row of the same
-          topology × path beyond --scaling-tolerance (default 10%).
+          topology beyond --scaling-tolerance (default 10%).
           Only shard counts the machine can actually run in parallel
           (shards <= hw_threads) are enforced; the rest, and 1-thread
           machines, produce warnings — a scaling gate on a machine with
@@ -49,11 +49,11 @@ import subprocess
 import sys
 
 ENGINE_ROW_KEYS = [
-    "topology", "shards", "path", "partition", "delivered", "elapsed_ms",
-    "hops_per_sec_M", "delivered_per_sec_M", "speedup_vs_walk",
-    "speedup_vs_sim", "scaling_efficiency", "edge_cut", "edge_total",
-    "queue_hwm", "freelist_growth", "update_lat_p50_us",
-    "update_lat_p99_us", "definition6",
+    "topology", "shards", "partition", "delivered", "elapsed_ms",
+    "hops_per_sec_M", "delivered_per_sec_M", "speedup_vs_sim",
+    "scaling_efficiency", "edge_cut", "edge_total", "queue_hwm",
+    "freelist_growth", "update_lat_p50_us", "update_lat_p99_us",
+    "definition6",
 ]
 
 NET_ROW_KEYS = [
@@ -63,9 +63,9 @@ NET_ROW_KEYS = [
 ]
 
 CHURN_ROW_KEYS = [
-    "pipeline", "shards", "reps", "storm_packets", "learns", "fast_learns",
+    "shards", "reps", "storm_packets", "learns", "fast_learns",
     "ctrl_deltas", "hops_per_sec_M", "update_storm_lat_p50_us",
-    "update_storm_lat_p99_us", "p99_speedup_vs_broadcast", "definition6",
+    "update_storm_lat_p99_us", "definition6",
 ]
 
 SOAK_ROW_KEYS = [
@@ -122,9 +122,8 @@ def engine_throughput_once(bin_dir: str, smoke: bool,
                 fail(f"engine_throughput row missing key '{key}': {row}")
         if row["definition6"] != "ok":
             fail(f"engine_throughput row violates Definition 6: {row}")
-        if row["path"] == "classifier" and row["freelist_growth"] != 0:
-            fail("steady-state freelist growth on the classifier path "
-                 f"(expected 0): {row}")
+        if row["freelist_growth"] != 0:
+            fail(f"steady-state freelist growth (expected 0): {row}")
     return d
 
 
@@ -152,10 +151,10 @@ def engine_throughput(bin_dir: str, smoke: bool, partition: str = "refined",
     # run's 1-shard rate; recompute it against the *merged* 1-shard row
     # so the committed columns are mutually consistent (the gates judge
     # efficiency and hops from the same numbers).
-    one = {(r["topology"], r["path"]): r["hops_per_sec_M"]
+    one = {r["topology"]: r["hops_per_sec_M"]
            for r in merged["rows"] if r["shards"] == 1}
     for r in merged["rows"]:
-        base = one.get((r["topology"], r["path"]), 0)
+        base = one.get(r["topology"], 0)
         r["scaling_efficiency"] = (
             round(r["hops_per_sec_M"] / (base * r["shards"]), 3)
             if base > 0 else 0.0)
@@ -242,7 +241,7 @@ def update_churn(bin_dir: str, smoke: bool, partition: str) -> dict:
 
 
 def churn_key(row: dict) -> tuple:
-    return (row["pipeline"], row["shards"])
+    return (row["shards"],)
 
 
 def soak(bin_dir: str, smoke: bool) -> dict:
@@ -350,8 +349,7 @@ def engine_key(row: dict) -> tuple:
     # Partition strategy is part of the row identity: comparing a modulo
     # run against a refined baseline would report the inherent strategy
     # gap as a code regression.
-    return (row["topology"], row["shards"], row["path"],
-            row.get("partition", ""))
+    return (row["topology"], row["shards"], row.get("partition", ""))
 
 
 def scaling_gate(engine: dict, tolerance: float) -> int:
@@ -363,18 +361,18 @@ def scaling_gate(engine: dict, tolerance: float) -> int:
     """
     hw = engine.get("hw_threads", 0)
     rows = engine["rows"]
-    one = {(r["topology"], r["path"]): r["hops_per_sec_M"]
+    one = {r["topology"]: r["hops_per_sec_M"]
            for r in rows if r["shards"] == 1}
     failures = []
     enforced = 0
     for r in rows:
         if r["shards"] <= 1:
             continue
-        base = one.get((r["topology"], r["path"]), 0)
+        base = one.get(r["topology"], 0)
         if base <= 0:
             continue
         ratio = r["hops_per_sec_M"] / base
-        where = (f"{r['topology']} x {r['path']} @ {r['shards']} shards "
+        where = (f"{r['topology']} @ {r['shards']} shards "
                  f"({r['partition']}): {ratio:.2f}x the 1-shard rate")
         if hw < 2 or r["shards"] > hw:
             if ratio < 1 - tolerance:

@@ -9,6 +9,7 @@
 
 #include "api/Run.h"
 
+#include "api/EngineOptions.h"
 #include "api/StreamCollect.h"
 #include "engine/Engine.h"
 #include "engine/Partition.h"
@@ -33,46 +34,15 @@ public:
 
   Result<RunReport> execute(const Compilation &C, const RunOptions &O,
                             const engine::Workload &W) override {
-    if (O.Shards < 1 || O.Shards > 1024)
-      return Status::error(Code::InvalidArgument,
-                           "shards must be in [1, 1024], got " +
-                               std::to_string(O.Shards));
-    auto Strategy = engine::parsePartitionStrategy(O.Partition);
-    if (!Strategy)
-      return Status::error(Code::InvalidArgument,
-                           "unknown partition strategy '" + O.Partition +
-                               "' (known: modulo, contiguous, refined)");
-    auto Overload = engine::parseOverloadPolicy(O.Overload);
-    if (!Overload)
-      return Status::error(Code::InvalidArgument,
-                           "unknown overload policy '" + O.Overload +
-                               "' (known: block, shed-oldest, shed-newest)");
+    Result<engine::EngineConfig> Cfg = detail::engineConfig(O);
+    if (!Cfg.ok())
+      return Cfg.status();
     std::optional<faults::Injector> Inj;
     if (O.Faults && O.Faults->enabled())
-      Inj.emplace(*O.Faults);
+      Cfg->Faults = &Inj.emplace(*O.Faults);
+    engine::Engine E(C.structure(), C.topology(), *Cfg);
 
-    engine::EngineConfig Cfg;
-    Cfg.NumShards = O.Shards;
-    Cfg.UseClassifier = O.Classifier;
-    Cfg.BatchSize = O.Batch;
-    Cfg.Partition = *Strategy;
-    Cfg.LatencyHistograms = O.LatencyHistograms;
-    Cfg.TraceEventCapacity = O.TraceCapacity;
-    Cfg.Overload = *Overload;
-    // Streaming verification trades the O(run) merged trace for the
-    // O(window) online checker; differential mode keeps both so the two
-    // verdicts can be compared.
-    Cfg.StreamTrace = O.StreamingCheck;
-    Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
-    if (Inj)
-      Cfg.Faults = &*Inj;
-    engine::Engine E(C.structure(), C.topology(), Cfg);
-
-    consistency::StreamOptions SO;
-    SO.Window = std::max<size_t>(1, O.CheckWindow);
-    // Quiet-horizon retirement must outlast fault-plan delays and deep
-    // shard backlogs (ticket gaps), or healthy chains get cut.
-    SO.QuietHorizon = std::max<uint64_t>(8192, SO.Window / 2);
+    consistency::StreamOptions SO = detail::streamOptions(O);
     std::optional<detail::StreamCollector> Col;
     if (O.StreamingCheck)
       Col.emplace(E, C.structure(), C.topology(), SO);
@@ -104,12 +74,11 @@ public:
     engine::Stats S = E.stats();
     RunReport R;
     R.Shards = O.Shards;
-    R.Classifier = S.ClassifierPath;
     R.Batch = S.BatchSize;
     R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
     R.EdgeCut = S.Partition.CutWeight;
     R.EdgeTotal = S.Partition.TotalWeight;
-    R.Overload = engine::overloadPolicyName(*Overload);
+    R.Overload = engine::overloadPolicyName(Cfg->Overload);
     for (const engine::ShardStats &SS : S.Shards)
       R.ShardDetail.push_back(
           {SS.PacketsProcessed, SS.QueueHighWater, SS.Dropped,

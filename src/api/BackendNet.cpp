@@ -12,6 +12,7 @@
 
 #include "api/Run.h"
 
+#include "api/EngineOptions.h"
 #include "api/StreamCollect.h"
 #include "engine/Engine.h"
 #include "engine/Partition.h"
@@ -396,23 +397,12 @@ LatencyReport toReport(const engine::LatencyDigest &D) {
   return {D.Samples, D.MeanSec, D.P50Sec, D.P90Sec, D.P99Sec, D.MaxSec};
 }
 
-/// Streaming-check knobs shared by the run backend and serveNet.
-consistency::StreamOptions streamOptions(const RunOptions &O) {
-  consistency::StreamOptions SO;
-  SO.Window = std::max<size_t>(1, O.CheckWindow);
-  // Quiet-horizon retirement must outlast fault-plan delays and deep
-  // shard backlogs (ticket gaps), or healthy chains get cut.
-  SO.QuietHorizon = std::max<uint64_t>(8192, SO.Window / 2);
-  return SO;
-}
-
 /// Engine-side report fields shared by the run backend and serveNet:
 /// counters, latency digests, fault summary, obs trace, network trace.
 void fillEngineSide(RunReport &R, engine::Engine &E, unsigned Shards,
                     engine::OverloadPolicy Overload, bool FaultsEnabled) {
   engine::Stats S = E.stats();
   R.Shards = Shards;
-  R.Classifier = S.ClassifierPath;
   R.Batch = S.BatchSize;
   R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
   R.EdgeCut = S.Partition.CutWeight;
@@ -495,53 +485,30 @@ public:
 
   Result<RunReport> execute(const Compilation &C, const RunOptions &O,
                             const engine::Workload &W) override {
-    if (O.Shards < 1 || O.Shards > 1024)
-      return Status::error(Code::InvalidArgument,
-                           "shards must be in [1, 1024], got " +
-                               std::to_string(O.Shards));
+    Result<engine::EngineConfig> Cfg = detail::engineConfig(O);
+    if (!Cfg.ok())
+      return Cfg.status();
     if (O.NetConnections < 1 || O.NetConnections > (1u << 16))
       return Status::error(Code::InvalidArgument,
                            "net connections must be in [1, 65536], got " +
                                std::to_string(O.NetConnections));
-    auto Strategy = engine::parsePartitionStrategy(O.Partition);
-    if (!Strategy)
-      return Status::error(Code::InvalidArgument,
-                           "unknown partition strategy '" + O.Partition +
-                               "' (known: modulo, contiguous, refined)");
-    auto Overload = engine::parseOverloadPolicy(O.Overload);
-    if (!Overload)
-      return Status::error(Code::InvalidArgument,
-                           "unknown overload policy '" + O.Overload +
-                               "' (known: block, shed-oldest, shed-newest)");
     std::optional<faults::Injector> Inj;
     if (O.Faults && O.Faults->enabled())
-      Inj.emplace(*O.Faults);
+      Cfg->Faults = &Inj.emplace(*O.Faults);
 
     net::ServerConfig SC;
     SC.BindAddr = "127.0.0.1";
     SC.Port = 0; // ephemeral; never collides with a parallel test
     SC.EnableUdp = O.NetUdp;
-    SC.Session.Overload = *Overload;
+    SC.Session.Overload = Cfg->Overload;
     net::Server Srv(SC);
     std::string Err;
     if (!Srv.open(Err))
       return Status::error(Code::RunError, "net backend: " + Err);
 
-    engine::EngineConfig Cfg;
-    Cfg.NumShards = O.Shards;
-    Cfg.UseClassifier = O.Classifier;
-    Cfg.BatchSize = O.Batch;
-    Cfg.Partition = *Strategy;
-    Cfg.LatencyHistograms = O.LatencyHistograms;
-    Cfg.TraceEventCapacity = O.TraceCapacity;
-    Cfg.Overload = *Overload;
-    Cfg.DeliverySink = Srv.deliverySink();
-    Cfg.StreamTrace = O.StreamingCheck;
-    Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
-    if (Inj)
-      Cfg.Faults = &*Inj;
-    engine::Engine E(C.structure(), C.topology(), Cfg);
-    consistency::StreamOptions SO = streamOptions(O);
+    Cfg->DeliverySink = Srv.deliverySink();
+    engine::Engine E(C.structure(), C.topology(), *Cfg);
+    consistency::StreamOptions SO = detail::streamOptions(O);
     std::optional<detail::StreamCollector> Col;
     if (O.StreamingCheck)
       Col.emplace(E, C.structure(), C.topology(), SO);
@@ -564,7 +531,7 @@ public:
     E.finish();
 
     RunReport R;
-    fillEngineSide(R, E, O.Shards, *Overload, Inj.has_value());
+    fillEngineSide(R, E, O.Shards, Cfg->Overload, Inj.has_value());
     if (Col) {
       R.StreamCheck.Enabled = true;
       R.StreamCheck.Window = SO.Window;
@@ -597,27 +564,19 @@ std::unique_ptr<Backend> makeNetBackend() {
 
 Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
                            const ServeNetOptions &S) {
-  if (O.Shards < 1 || O.Shards > 1024)
-    return Status::error(Code::InvalidArgument,
-                         "shards must be in [1, 1024], got " +
-                             std::to_string(O.Shards));
-  auto Strategy = engine::parsePartitionStrategy(O.Partition);
-  if (!Strategy)
-    return Status::error(Code::InvalidArgument,
-                         "unknown partition strategy '" + O.Partition + "'");
-  auto Overload = engine::parseOverloadPolicy(O.Overload);
-  if (!Overload)
-    return Status::error(Code::InvalidArgument,
-                         "unknown overload policy '" + O.Overload + "'");
+  Result<engine::EngineConfig> Cfg =
+      detail::engineConfig(O, /*ListKnownNames=*/false);
+  if (!Cfg.ok())
+    return Cfg.status();
   std::optional<faults::Injector> Inj;
   if (O.Faults && O.Faults->enabled())
-    Inj.emplace(*O.Faults);
+    Cfg->Faults = &Inj.emplace(*O.Faults);
 
   net::ServerConfig SC;
   SC.BindAddr = S.BindAddr;
   SC.Port = S.Port;
   SC.EnableUdp = S.Udp;
-  SC.Session.Overload = *Overload;
+  SC.Session.Overload = Cfg->Overload;
   net::Server Srv(SC);
   std::string Err;
   if (!Srv.open(Err))
@@ -626,21 +585,9 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
   if (S.OnListening)
     S.OnListening(Srv.port());
 
-  engine::EngineConfig Cfg;
-  Cfg.NumShards = O.Shards;
-  Cfg.UseClassifier = O.Classifier;
-  Cfg.BatchSize = O.Batch;
-  Cfg.Partition = *Strategy;
-  Cfg.LatencyHistograms = O.LatencyHistograms;
-  Cfg.TraceEventCapacity = O.TraceCapacity;
-  Cfg.Overload = *Overload;
-  Cfg.DeliverySink = Srv.deliverySink();
-  Cfg.StreamTrace = O.StreamingCheck;
-  Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
-  if (Inj)
-    Cfg.Faults = &*Inj;
-  engine::Engine E(C.structure(), C.topology(), Cfg);
-  consistency::StreamOptions SO = streamOptions(O);
+  Cfg->DeliverySink = Srv.deliverySink();
+  engine::Engine E(C.structure(), C.topology(), *Cfg);
+  consistency::StreamOptions SO = detail::streamOptions(O);
   std::optional<api::detail::StreamCollector> Col;
   if (O.StreamingCheck)
     Col.emplace(E, C.structure(), C.topology(), SO);
@@ -675,7 +622,7 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
   RunReport R;
   R.Backend = "net";
   R.Seed = O.Seed;
-  fillEngineSide(R, E, O.Shards, *Overload, Inj.has_value());
+  fillEngineSide(R, E, O.Shards, Cfg->Overload, Inj.has_value());
   if (Col) {
     R.StreamCheck.Enabled = true;
     R.StreamCheck.Window = SO.Window;

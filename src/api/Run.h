@@ -100,10 +100,6 @@ public:
     CheckDifferential = V;
     return *this;
   }
-  RunOptions &classifier(bool V) {
-    Classifier = V;
-    return *this;
-  }
   RunOptions &batch(unsigned V) {
     Batch = V;
     return *this;
@@ -183,9 +179,6 @@ public:
   /// checker, then report whether the two verdicts agree — the
   /// end-to-end differential harness for the streaming checker.
   bool CheckDifferential = false;
-  /// Engine backend: classifier-program fast path (true) or the
-  /// flattened-FDD-walk oracle (false).
-  bool Classifier = true;
   /// Engine backend: hot-loop dequeue/enqueue batch size.
   unsigned Batch = 32;
   /// Engine backend: shard-placement strategy — "modulo", "contiguous",
@@ -338,7 +331,6 @@ struct RunReport {
   uint64_t Seed = 0;
   std::string Workload; ///< workload model the run executed ("ping", ...)
   unsigned Shards = 1; ///< 1 on the sequential backends
-  bool Classifier = false; ///< engine: classifier fast path in use
   unsigned Batch = 1;      ///< engine: hot-loop batch size
   std::string Partition;   ///< engine: shard-placement strategy (else "")
   uint64_t EdgeCut = 0;    ///< engine: weighted inter-shard edge cut

@@ -14,6 +14,9 @@ using eventnet::netkat::Packet;
 
 namespace {
 
+/// Longest sleep (microseconds) of a worker's adaptive idle backoff.
+constexpr unsigned IdleSleepCapUs = 128;
+
 /// Histogram snapshot -> report digest. \p Scale converts the recorded
 /// unit into the digest's (1e-9 for nanosecond histograms, 1 for raw
 /// counts like batch occupancy).
@@ -56,8 +59,7 @@ engine::parseOverloadPolicy(const std::string &Name) {
 Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
                EngineConfig Cfg)
     : N(N), Topo(Topo), C(Cfg), Idx(Topo),
-      Part(partitionSwitches(Idx, std::max(1u, Cfg.NumShards), Cfg.Partition,
-                             Cfg.ImbalanceBound)),
+      Part(partitionSwitches(Idx, std::max(1u, Cfg.NumShards), Cfg.Partition)),
       Compiled(N, Idx), Epochs(8) {
   if (C.NumShards == 0)
     C.NumShards = 1;
@@ -120,8 +122,7 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
   for (unsigned E = 0; E != N.numEvents(); ++E)
     DetectNs.push_back(std::make_unique<std::atomic<int64_t>>(-1));
 
-  if (C.FastUpdates)
-    buildSubscriptions();
+  buildSubscriptions();
 
   // A sane clock base for stats() calls that precede run().
   StartNs.store(monotonicNs());
@@ -568,18 +569,16 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
       // detected once) and the controller always drains, so a plain
       // yield on the full path cannot deadlock.
       CtrlQ->pushBlocking(static_cast<uint32_t>(E));
-      if (C.FastUpdates) {
-        // Shard-local fast path: every subscribed switch this shard
-        // owns transitions now, one function call after detection —
-        // no queue hop, no controller wake on the critical path. Ext
-        // (this detection's consistent extension: register + digest +
-        // fresh events + E, all occurred) rides along as the causal
-        // context for switches whose registers lack E's causes. The
-        // wake comes second: notifying first can hand an oversubscribed
-        // core to the controller ahead of the fan-out.
-        fanOutLocal(S, E, D, S.ScratchExt);
-        CtrlWake.notify();
-      }
+      // Shard-local fast path: every subscribed switch this shard owns
+      // transitions now, one function call after detection — no queue
+      // hop, no controller wake on the critical path. Ext (this
+      // detection's consistent extension: register + digest + fresh
+      // events + E, all occurred) rides along as the causal context for
+      // switches whose registers lack E's causes. The wake comes second:
+      // notifying first can hand an oversubscribed core to the
+      // controller ahead of the fan-out.
+      fanOutLocal(S, E, D, S.ScratchExt);
+      CtrlWake.notify();
     }
   }
 
@@ -607,43 +606,21 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   const DenseBitSet &OutDigest = *OutDigestP;
 
   S.Processed.add();
-  if (C.UseClassifier) {
-    // Fast path: one contiguous classifier program, outputs emitted into
-    // the shard's recycled packet buffer — allocation-free once warm.
-    S.ClsOut.reset();
-    Pipe.applyClassifier(P.Pkt, S.ClsOut);
-    if (S.ClsOut.size() == 0) {
-      Dropped.add();
-      S.Dropped.add();
-      if (P.FromDup)
-        DupDropped.add();
-      obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(Sl.Id),
-                /*reason: table miss / drop rule*/ 0);
-      return;
-    }
-    for (size_t I = 0; I != S.ClsOut.size(); ++I)
-      forwardOut(S, P, D, S.ClsOut[I], OutDigest);
-    return;
-  }
-
-  // Oracle path: the flattened-FDD walk (kept for differential testing;
-  // allocates its output packets).
-  std::vector<Packet> Outs = std::move(S.Outs);
-  Outs.clear();
-  Pipe.apply(P.Pkt, Outs);
-  if (Outs.empty()) {
+  // One contiguous classifier program, outputs emitted into the shard's
+  // recycled packet buffer — allocation-free once warm.
+  S.ClsOut.reset();
+  Pipe.applyClassifier(P.Pkt, S.ClsOut);
+  if (S.ClsOut.size() == 0) {
     Dropped.add();
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
     obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(Sl.Id),
               /*reason: table miss / drop rule*/ 0);
-    S.Outs = std::move(Outs);
     return;
   }
-  for (Packet &Out : Outs)
-    forwardOut(S, P, D, Out, OutDigest);
-  S.Outs = std::move(Outs); // return the capacity for reuse
+  for (size_t I = 0; I != S.ClsOut.size(); ++I)
+    forwardOut(S, P, D, S.ClsOut[I], OutDigest);
 }
 
 void Engine::mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
@@ -714,11 +691,10 @@ void Engine::processMsg(Shard &S, Msg &M) {
     handleInject(S, M.From, std::move(M.Header));
     break;
   case Msg::CtrlMerge:
-    // CTRLSEND: merge the controller's set into every owned register.
-    for (uint32_t D = 0; D != Idx.numSwitches(); ++D) {
+    // A fault-plan storm's full-set CTRLSEND: merge the controller's set
+    // into every owned register.
+    for (uint32_t D : OwnedDense[S.Index]) {
       SwitchSlot &Sl = Slots[D];
-      if (&S != Shards[Sl.Shard].get())
-        continue;
       DenseBitSet NewE = Sl.E | M.Merge;
       if (NewE != Sl.E)
         applyRegister(S, Sl, NewE);
@@ -729,10 +705,9 @@ void Engine::processMsg(Shard &S, Msg &M) {
     // union in the common case; M.Merge (the controller's occurred set)
     // is the causal fallback for registers that lack the event's
     // enabling chain. Under explicit broadcast every owned register
-    // learns it (the historical contract); otherwise only the
-    // subscribed switches do — the rest would not change their table or
-    // detection behavior, so routing past them only removes queue
-    // traffic.
+    // learns it; otherwise only the subscribed switches do — the rest
+    // would not change their table or detection behavior, so routing
+    // past them only removes queue traffic.
     if (C.CtrlBroadcast) {
       for (uint32_t D : OwnedDense[S.Index])
         mergeEventInto(S, D, M.Event, M.Merge);
@@ -1005,19 +980,19 @@ void Engine::workerLoop(unsigned ShardIdx) {
       break;
     // Adaptive idle backoff: spin (cheap, catches back-to-back bursts),
     // then yield (lets co-scheduled shards run), then sleep in doubling
-    // steps up to the configured cap — an underloaded shard under a good
+    // steps up to IdleSleepCapUs — an underloaded shard under a good
     // partition spends its life here instead of hammering the queue's
     // cache lines. Any drained work resets to the spin stage.
     ++Spins;
     if (Spins <= 64)
       continue;
-    if (Spins <= 256 || C.IdleSleepUs == 0) {
+    if (Spins <= 256) {
       std::this_thread::yield();
       continue;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
     S.IdleSleeps.add();
-    SleepUs = std::min(SleepUs * 2, C.IdleSleepUs);
+    SleepUs = std::min(SleepUs * 2, IdleSleepCapUs);
   }
   if (C.StreamTrace) {
     // This shard will never log again: flush the tail and lift the
@@ -1028,52 +1003,40 @@ void Engine::workerLoop(unsigned ShardIdx) {
 }
 
 void Engine::controllerLoop() {
-  uint64_t Spins = 0;
-  unsigned SleepUs = 1;
   while (true) {
     uint32_t E;
     if (CtrlQ->tryPop(E)) {
-      Spins = 0;
-      SleepUs = 1;
       // CTRLRECV: fold the event into R once.
       if (!Occurred.test(E)) {
         Occurred.set(E);
         Events.add();
-        if (C.FastUpdates) {
-          // CTRLSEND, delta form: one event id per shard that hosts a
-          // subscriber (or per shard, under explicit broadcast) instead
-          // of O(NumShards) full-bitset copies — independent concurrent
-          // updates pipeline instead of serializing on set merges.
-          auto SendDelta = [&](uint32_t I) {
-            Msg M;
-            M.K = Msg::CtrlDelta;
-            M.Event = E;
-            // Occurred rides along as the causal-fallback context: a
-            // register missing one of E's causes merges the full set
-            // (exactly what the legacy CtrlMerge would have applied)
-            // instead of leaving the NES family.
-            M.Merge = Occurred;
-            sendToShard(I, std::move(M));
-            CtrlDeltas.add();
-          };
-          if (C.CtrlBroadcast)
-            for (uint32_t I = 0; I != C.NumShards; ++I)
-              SendDelta(I);
-          else
-            for (uint32_t I : SubShards[E])
-              SendDelta(I);
-        } else if (C.CtrlBroadcast)
-          for (uint32_t I = 0; I != C.NumShards; ++I) {
-            Msg M;
-            M.K = Msg::CtrlMerge;
-            M.Merge = Occurred;
-            sendToShard(I, std::move(M));
-          }
+        // CTRLSEND, delta form: one event id per shard that hosts a
+        // subscriber (or per shard, under explicit broadcast) instead of
+        // O(NumShards) full-bitset copies — independent concurrent
+        // updates pipeline instead of serializing on set merges.
+        auto SendDelta = [&](uint32_t I) {
+          Msg M;
+          M.K = Msg::CtrlDelta;
+          M.Event = E;
+          // Occurred rides along as the causal-fallback context: a
+          // register missing one of E's causes merges the full set
+          // instead of leaving the NES family.
+          M.Merge = Occurred;
+          sendToShard(I, std::move(M));
+          CtrlDeltas.add();
+        };
+        if (C.CtrlBroadcast)
+          for (uint32_t I = 0; I != C.NumShards; ++I)
+            SendDelta(I);
+        else
+          for (uint32_t I : SubShards[E])
+            SendDelta(I);
         if (C.Faults && C.Faults->plan().CtrlStormRepeat) {
           // Controller event storm: re-broadcast the merged set to every
-          // shard CtrlStormRepeat extra times. Semantically idempotent
-          // (registers only grow), so the storm stresses the queues and
-          // the overload policy without changing the reachable configs.
+          // shard CtrlStormRepeat extra times, through the data ring, so
+          // the storm stresses the queues and the overload policy.
+          // Semantically idempotent (registers only grow), so it cannot
+          // change the reachable configs.
           uint32_t Reps = C.Faults->plan().CtrlStormRepeat;
           for (uint32_t R = 0; R != Reps; ++R)
             for (uint32_t I = 0; I != C.NumShards; ++I) {
@@ -1096,27 +1059,11 @@ void Engine::controllerLoop() {
     }
     if (StopFlag.load())
       break;
-    if (C.FastUpdates) {
-      // Event-driven wake: block until a worker notifies (it does so
-      // right after every CtrlQ push), then re-drain. No backoff floor
-      // under propagation latency; the timeout is only a shutdown
-      // safety net (finish() also notifies after raising StopFlag).
-      CtrlWake.wait(/*TimeoutUs=*/50000);
-      continue;
-    }
-    // Legacy idle backoff, same as the workers: events are rare, so the
-    // controller is the most persistently idle thread of all. The sleep
-    // cap is also a floor on event propagation latency — the reason the
-    // FastUpdates path above exists.
-    ++Spins;
-    if (Spins <= 64)
-      continue;
-    if (Spins <= 256 || C.IdleSleepUs == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
-    SleepUs = std::min(SleepUs * 2, C.IdleSleepUs);
+    // Event-driven wake: block until a worker notifies (it does so right
+    // after every CtrlQ push), then re-drain. No backoff floor under
+    // propagation latency; the timeout is only a shutdown safety net
+    // (finish() also notifies after raising StopFlag).
+    CtrlWake.wait(/*TimeoutUs=*/50000);
   }
 }
 
@@ -1190,11 +1137,6 @@ void Engine::finish() {
 void Engine::run(const Workload &W) {
   start();
   for (const Phase &Ph : W.Phases) {
-    // An external stop (signal handler) takes effect at the phase
-    // boundary: the current phase still quiesces, so the trace and the
-    // audit are complete for everything that was injected.
-    if (C.StopRequested && C.StopRequested->load())
-      break;
     injectBatch(Ph.Injections.data(), Ph.Injections.size());
     awaitQuiescence();
   }
@@ -1298,7 +1240,6 @@ void Engine::mergeResults() {
   FinalStats.PacketsForwarded = Forwarded.get();
   FinalStats.EventsDetected = Events.get();
   FinalStats.CtrlDeltas = CtrlDeltas.get();
-  FinalStats.ClassifierPath = C.UseClassifier;
   FinalStats.BatchSize = C.BatchSize;
   fillPartitionStats(FinalStats);
   fillObsStats(FinalStats);
@@ -1344,7 +1285,6 @@ Stats Engine::stats() const {
   S.PacketsForwarded = Forwarded.get();
   S.EventsDetected = Events.get();
   S.CtrlDeltas = CtrlDeltas.get();
-  S.ClassifierPath = C.UseClassifier;
   S.BatchSize = C.BatchSize;
   fillPartitionStats(S);
   fillObsStats(S);

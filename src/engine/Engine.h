@@ -19,7 +19,13 @@
 ///    fresh events, forwards with the *stamped* tag's pipeline (packets
 ///    in flight never see a mixed configuration — the table a packet is
 ///    matched against is chosen by its immutable tag, and all lowered
-///    pipelines are immutable), then extends the outgoing digest.
+///    pipelines are immutable), then extends the outgoing digest. The
+///    lookup is the pipeline's classifier program (engine/Classifier.h);
+///    the FDD walk it was lowered from survives only as a test oracle.
+///  - Updates: the detecting shard applies a new event to its own
+///    subscribed switches at once; the controller forwards single-event
+///    deltas to the other subscribed shards over a priority lane that
+///    bypasses the data ring, and sleeps on an eventfd wake in between.
 ///  - Configuration transitions are atomic pointer swaps of the
 ///    switch's published view (tag + register); readers (stats, test
 ///    monitors) are RCU-style lock-free, and old views are retired
@@ -99,41 +105,13 @@ struct EngineConfig {
   /// on their owning worker; "modulo" is the historical round-robin
   /// placement, kept as the comparison baseline.
   PartitionStrategy Partition = PartitionStrategy::Refined;
-  /// Multiplicative load-balance bound the refinement pass must respect
-  /// (max shard vertex-weight / ideal; see Partition.h for the exact
-  /// ceiling).
-  double ImbalanceBound = 1.25;
-  /// Longest sleep (microseconds) of the adaptive idle backoff: a worker
-  /// that drains nothing spins briefly, then yields, then sleeps in
-  /// doubling steps up to this cap, so underloaded shards stop burning
-  /// the memory bus polling their queue. 0 disables sleeping (spin/yield
-  /// only, the historical behavior).
-  unsigned IdleSleepUs = 128;
   /// Per-shard queue capacity (rounded up to a power of two).
   size_t QueueCapacity = 1 << 15;
-  /// Controller re-broadcasts its event set to every switch (CTRLSEND),
-  /// accelerating discovery beyond digest gossip. Off by default, like
-  /// the simulator.
+  /// The controller sends every event delta to every shard, and each
+  /// shard merges it into every owned register (CTRLSEND to all
+  /// switches), instead of only to the switches the subscription index
+  /// says the event can affect. Off by default, like the simulator.
   bool CtrlBroadcast = false;
-  /// The low-latency update pipeline: (a) a shard that detects an event
-  /// applies the transition to its own subscribed switches immediately
-  /// (the per-switch RCU view swap publishes each register
-  /// independently, so no controller round-trip is needed); (b) the
-  /// controller propagates event-id deltas routed by a load-time
-  /// event->shard subscription index instead of full-bitset broadcasts,
-  /// delivered over a per-shard priority lane that bypasses the data
-  /// ring (a delta never queues behind a storm backlog);
-  /// (c) the controller sleeps on an eventfd/self-pipe wake instead of
-  /// the spin->yield->sleep backoff (whose IdleSleepUs cap is otherwise
-  /// a built-in latency floor). Off = the historical controller path,
-  /// kept so benches can measure both pipelines in one binary. Either
-  /// way, merging a detected event into a register is the same
-  /// union-with-occurred-events step CtrlBroadcast has always taken
-  /// (single-event unions that would leave the NES family — the target
-  /// register missing one of the event's causes — fall back to merging
-  /// the sender's occurred-event context), so Definition 6 is
-  /// unaffected.
-  bool FastUpdates = true;
   /// Hosts answer echo requests in-engine (KindRequest -> KindReply).
   bool EchoReplies = true;
   /// Record the network trace for the consistency checkers. Turn off
@@ -160,13 +138,8 @@ struct EngineConfig {
   /// RecordTrace) for pure-throughput benchmarking: recording
   /// necessarily allocates per packet.
   bool RecordDeliveries = true;
-  /// Look packets up with the contiguous classifier program (the batched
-  /// zero-allocation fast path). Off = the flattened-FDD walk, kept as
-  /// the differential-testing oracle.
-  bool UseClassifier = true;
   /// Messages dequeued/enqueued per hot-loop iteration (amortizes the
-  /// MPSC queue atomics; 1 degenerates to the PR 1 message-at-a-time
-  /// loop).
+  /// MPSC queue atomics; 1 degenerates to a message-at-a-time loop).
   unsigned BatchSize = 32;
   /// Record per-hop queue-dwell and batch-occupancy histograms (obs/).
   /// Off by default: when off, the hot loop takes no timestamps and the
@@ -187,11 +160,6 @@ struct EngineConfig {
   /// thread-safe across shards. Empty = no sink, and the hook reduces
   /// to one predictable branch, like the obs layer.
   std::function<void(HostId, const netkat::Packet &)> DeliverySink;
-  /// External stop request (e.g. a signal handler's flag). run() checks
-  /// it between phases and stops injecting early; in-flight work still
-  /// quiesces, so the trace and the audit stay complete for whatever was
-  /// injected. Null = never stop early.
-  const std::atomic<bool> *StopRequested = nullptr;
 };
 
 /// A sharded multi-threaded data-plane engine executing one NES.
@@ -382,7 +350,9 @@ private:
     EnginePacket P;        // PacketIn
     HostId From = 0;       // Inject
     netkat::Packet Header; // Inject
-    DenseBitSet Merge;     // CtrlMerge; CtrlDelta causal-fallback context
+    /// CtrlMerge: the full set (fault-plan storms only); CtrlDelta: the
+    /// causal-fallback context.
+    DenseBitSet Merge;
     uint32_t Event = 0;    // CtrlDelta: one event id
     int64_t EnqNs = 0; ///< ring-enqueue stamp (only when LatencyHistograms)
   };
@@ -422,13 +392,12 @@ private:
     /// the owner drains the ring first, then the overflow.
     std::mutex OverflowMu;
     std::deque<Msg> Overflow;
-    /// Priority control lane (FastUpdates): CtrlDelta messages bypass
-    /// the data ring entirely, so an update is never stuck behind a
-    /// storm backlog of data packets — the owner drains this lane ahead
-    /// of every ring batch. Single producer (the controller thread),
-    /// single consumer (the owner); Size is the owner's cheap
-    /// emptiness probe, so the common empty case costs one relaxed
-    /// load, no lock.
+    /// Priority control lane: CtrlDelta messages bypass the data ring
+    /// entirely, so an update is never stuck behind a storm backlog of
+    /// data packets — the owner drains this lane ahead of every ring
+    /// batch. Single producer (the controller thread), single consumer
+    /// (the owner); Size is the owner's cheap emptiness probe, so the
+    /// common empty case costs one relaxed load, no lock.
     std::mutex CtrlMu;
     std::deque<Msg> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
@@ -440,10 +409,9 @@ private:
     std::map<std::pair<SwitchId, nes::EventId>, int64_t> LearnNs;
     RetireList<SwitchView> Retired;
     std::thread Thread;
-    std::vector<netkat::Packet> Outs; ///< scratch (FDD-walk oracle path)
-    PacketBuf ClsOut;                 ///< recycled classifier outputs
-    std::vector<Msg> Batch;           ///< recycled dequeue batch slots
-    std::vector<MsgBuf> OutBufs;      ///< recycled egress, per target
+    PacketBuf ClsOut;            ///< recycled classifier outputs
+    std::vector<Msg> Batch;      ///< recycled dequeue batch slots
+    std::vector<MsgBuf> OutBufs; ///< recycled egress, per target
     MsgBuf SelfProc; ///< swap space for draining OutBufs[Index] in place
     /// Scratch bitsets for the SWITCH rule (capacity-reusing; the hot
     /// loop builds no fresh DenseBitSets).
@@ -508,9 +476,9 @@ private:
 
   void workerLoop(unsigned ShardIdx);
   void controllerLoop();
-  /// Builds the event->switch subscription index (FastUpdates): which
-  /// dense switches care about each event, grouped by owning shard, plus
-  /// the per-event list of shards with at least one subscriber.
+  /// Builds the event->switch subscription index: which dense switches
+  /// care about each event, grouped by owning shard, plus the per-event
+  /// list of shards with at least one subscriber.
   void buildSubscriptions();
   /// Shard-local fast path: the detecting shard applies \p E to its own
   /// subscribed switches immediately (one RCU swap each), before the
@@ -596,12 +564,12 @@ private:
   std::unique_ptr<BoundedMpscQueue<uint32_t>> CtrlQ;
   std::thread CtrlThread;
   DenseBitSet Occurred; ///< controller-thread private (R of Figure 7)
-  /// Event-driven controller wake (FastUpdates): workers notify after
-  /// pushing to CtrlQ, finish() notifies after raising StopFlag.
+  /// Event-driven controller wake: workers notify after pushing to
+  /// CtrlQ, finish() notifies after raising StopFlag.
   ControllerWake CtrlWake;
 
-  // Update-pipeline routing (built once at construction when
-  // FastUpdates; all read-only afterwards).
+  // Update-pipeline routing (built once at construction; all read-only
+  // afterwards).
   /// Dense switches subscribed to event E and owned by shard S, at
   /// [E * NumShards + S]. A switch subscribes to an event iff adding it
   /// to some family set changes the switch's table, or the event shares
@@ -610,7 +578,7 @@ private:
   std::vector<std::vector<uint32_t>> SubSwitches;
   /// Shards with at least one subscriber, per event (delta routing).
   std::vector<std::vector<uint32_t>> SubShards;
-  /// Dense switches owned by each shard (explicit-broadcast deltas).
+  /// Dense switches owned by each shard (broadcast deltas, storm merges).
   std::vector<std::vector<uint32_t>> OwnedDense;
 
   mutable EpochDomain Epochs;

@@ -5,8 +5,8 @@
 #include "fdd/Fdd.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
+#include <unordered_map>
 
 using namespace eventnet;
 using namespace eventnet::engine;
@@ -30,7 +30,7 @@ bool packetField(const Packet &Pkt, FieldId F, Value &Out) {
 
 MatchPipeline::MatchPipeline(const flowtable::Table &T) {
   //===------------------------------------------------------------------===//
-  // Leaf interning shared by every path.
+  // Leaf interning.
   //===------------------------------------------------------------------===//
   std::map<fdd::ActionSet, int32_t> LeafIdx;
   auto internLeaf = [&](const fdd::ActionSet &Acts) -> int32_t {
@@ -55,7 +55,7 @@ MatchPipeline::MatchPipeline(const flowtable::Table &T) {
   };
 
   //===------------------------------------------------------------------===//
-  // FDD oracle path: compile the table to a diagram, flatten the DAG.
+  // Compile the table to a diagram, flatten the DAG.
   //===------------------------------------------------------------------===//
   {
     fdd::FddManager M;
@@ -95,62 +95,6 @@ MatchPipeline::MatchPipeline(const flowtable::Table &T) {
   }
 
   //===------------------------------------------------------------------===//
-  // Scan path: flat rules plus dispatch buckets.
-  //===------------------------------------------------------------------===//
-  for (const flowtable::Rule &R : T.rules()) {
-    RuleRec RR;
-    RR.CFirst = static_cast<uint32_t>(Constraints.size());
-    RR.CCount = static_cast<uint32_t>(R.Pattern.constraints().size());
-    for (const auto &C : R.Pattern.constraints())
-      Constraints.push_back(C);
-    RR.Leaf = internLeaf(fdd::ActionSet(R.Actions.begin(), R.Actions.end()));
-    Rules.push_back(RR);
-  }
-
-  std::map<FieldId, size_t> Hist = T.constraintHistogram();
-  for (const auto &[F, Count] : Hist)
-    if (Dispatch == NoDispatchField || Count > Hist[Dispatch])
-      Dispatch = F;
-
-  if (Dispatch != NoDispatchField) {
-    // The dispatch value each rule constrains, if any (Match::require
-    // keeps at most one constraint per field).
-    auto DispatchValue = [&](const RuleRec &RR, Value &Out) {
-      for (uint32_t C = RR.CFirst; C != RR.CFirst + RR.CCount; ++C)
-        if (Constraints[C].first == Dispatch) {
-          Out = Constraints[C].second;
-          return true;
-        }
-      return false;
-    };
-    // Pass 1: create a bucket per constrained value.
-    for (const RuleRec &RR : Rules) {
-      Value V;
-      if (DispatchValue(RR, V))
-        Buckets[V];
-    }
-    // Pass 2: one sweep in first-match order — a constrained rule joins
-    // its value's bucket, a wildcard rule joins every bucket (and the
-    // wildcard-only fallback list). Linear in rules + wildcards*buckets
-    // instead of buckets*rules.
-    for (uint32_t I = 0; I != Rules.size(); ++I) {
-      Value V;
-      if (DispatchValue(Rules[I], V)) {
-        Buckets[V].push_back(I);
-      } else {
-        for (auto &[BV, Bucket] : Buckets) {
-          (void)BV;
-          Bucket.push_back(I);
-        }
-        WildcardRules.push_back(I);
-      }
-    }
-  } else {
-    for (uint32_t I = 0; I != Rules.size(); ++I)
-      WildcardRules.push_back(I);
-  }
-
-  //===------------------------------------------------------------------===//
   // Final lowering: the contiguous classifier program.
   //===------------------------------------------------------------------===//
   Cls = Classifier(Flat);
@@ -177,30 +121,4 @@ void MatchPipeline::apply(const Packet &Pkt, std::vector<Packet> &Out) const {
     N = Pass ? Nd.Hi : Nd.Lo;
   }
   emit(Pkt, ~N, Out);
-}
-
-bool MatchPipeline::ruleMatches(const RuleRec &R, const Packet &Pkt) const {
-  for (uint32_t C = R.CFirst; C != R.CFirst + R.CCount; ++C) {
-    Value V;
-    if (!packetField(Pkt, Constraints[C].first, V) ||
-        V != Constraints[C].second)
-      return false;
-  }
-  return true;
-}
-
-void MatchPipeline::applyScan(const Packet &Pkt,
-                              std::vector<Packet> &Out) const {
-  const std::vector<uint32_t> *Candidates = &WildcardRules;
-  Value V;
-  if (Dispatch != NoDispatchField && packetField(Pkt, Dispatch, V)) {
-    auto It = Buckets.find(V);
-    if (It != Buckets.end())
-      Candidates = &It->second;
-  }
-  for (uint32_t I : *Candidates)
-    if (ruleMatches(Rules[I], Pkt)) {
-      emit(Pkt, Rules[I].Leaf, Out);
-      return;
-    }
 }

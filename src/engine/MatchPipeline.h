@@ -7,29 +7,18 @@
 ///
 /// \file
 /// The engine's lowering of a flowtable::Table into contiguous arrays the
-/// hot path can walk without pointer-chasing std::map nodes:
+/// hot path can walk without pointer-chasing std::map nodes. The table is
+/// recompiled into a forwarding decision diagram
+/// (fdd::FddManager::fromTable), the diagram is flattened into a flat
+/// node array with interned action lists, and that is lowered one step
+/// further into the *classifier program* (engine/Classifier.h): a single
+/// arena of multi-way dispatch ops, the engine's only lookup.
 ///
-///  - the *classifier program* (default lookup): the flattened FDD is
-///    lowered one step further into a single arena of multi-way dispatch
-///    ops (engine/Classifier.h) — the zero-allocation batched fast path.
-///
-///  - the *FDD walk* (differential-testing oracle): the table is
-///    recompiled into a forwarding decision diagram
-///    (fdd::FddManager::fromTable) and the diagram is flattened into a
-///    flat node array; a lookup follows hi/lo indices — at most one test
-///    per (field, value) pair on the path — and lands on an interned
-///    action list.
-///
-///  - the *bucket scan* (reference path, also used by the agreement
-///    tests): rules in first-match order with their constraints and
-///    actions in flat pools, pre-bucketed by the most-constrained field
-///    (Table::constraintHistogram — the same root heuristic an FDD
-///    applies) so a lookup scans only the rules compatible with the
-///    packet's value of that field.
-///
-/// All three paths compute exactly Table::apply; MatchPipelineTest and
-/// ClassifierPropertyTest check them against each other on random
-/// packets.
+/// The flattened FDD stays walkable through apply() as the
+/// differential-testing oracle: a lookup follows hi/lo indices — at most
+/// one test per (field, value) pair on the path — and lands on an
+/// interned action list. MatchPipelineTest and ClassifierPropertyTest
+/// check classifier == walk == Table::apply on random packets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,15 +31,10 @@
 #include "support/Ids.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace eventnet {
 namespace engine {
-
-/// Sentinel: the pipeline has no dispatch field (no rule constrains any
-/// field).
-inline constexpr FieldId NoDispatchField = static_cast<FieldId>(-1);
 
 /// Compact, immutable, thread-safe-for-reads lowering of one table.
 class MatchPipeline {
@@ -58,8 +42,8 @@ public:
   MatchPipeline() = default;
   explicit MatchPipeline(const flowtable::Table &T);
 
-  /// FDD-walk lookup: appends the matched rule's rewritten packets to
-  /// \p Out (nothing on a miss/drop).
+  /// FDD-walk lookup (the test oracle): appends the matched rule's
+  /// rewritten packets to \p Out (nothing on a miss/drop).
   void apply(const netkat::Packet &Pkt,
              std::vector<netkat::Packet> &Out) const;
 
@@ -73,42 +57,19 @@ public:
     Cls.apply(Pkt, Out);
   }
 
-  /// Bucket-scan lookup; same semantics as apply().
-  void applyScan(const netkat::Packet &Pkt,
-                 std::vector<netkat::Packet> &Out) const;
-
   /// The lowered classifier program (for prefetching and stats).
   const Classifier &classifier() const { return Cls; }
 
-  size_t numRules() const { return Rules.size(); }
   size_t numNodes() const { return Flat.Nodes.size(); }
   size_t numLeaves() const { return Flat.Leaves.size(); }
-  FieldId dispatchField() const { return Dispatch; }
 
 private:
-  /// One scan rule: a slice of Constraints plus its leaf.
-  struct RuleRec {
-    uint32_t CFirst, CCount;
-    int32_t Leaf;
-  };
-
   void emit(const netkat::Packet &Pkt, int32_t Leaf,
             std::vector<netkat::Packet> &Out) const;
-  bool ruleMatches(const RuleRec &R, const netkat::Packet &Pkt) const;
 
   /// The flattened FDD (walk oracle) and its final lowering.
   FlatFdd Flat;
   Classifier Cls;
-
-  std::vector<std::pair<FieldId, Value>> Constraints;
-  std::vector<RuleRec> Rules; ///< first-match order
-  FieldId Dispatch = NoDispatchField;
-  /// Dispatch value -> rule indices (constrained-to-value rules merged
-  /// with dispatch-wildcard rules, first-match order preserved).
-  std::unordered_map<Value, std::vector<uint32_t>> Buckets;
-  /// Rules with no dispatch constraint, for packets whose dispatch value
-  /// hits no bucket (or is absent).
-  std::vector<uint32_t> WildcardRules;
 };
 
 } // namespace engine

@@ -106,15 +106,13 @@ struct Stats {
   uint64_t EventsDetected = 0;   ///< distinct NES events that occurred
   uint64_t ConfigTransitions = 0;
 
-  /// Fast-update pipeline tallies (zero when EngineConfig::FastUpdates
-  /// is off): registers advanced by the detecting shard's local fan-out
-  /// before any controller round-trip, and event-id delta messages the
-  /// controller routed in place of full-set broadcasts.
+  /// Update-pipeline tallies: registers advanced by the detecting
+  /// shard's local fan-out before any controller round-trip, and event-id
+  /// delta messages the controller routed to shards.
   uint64_t FastPathLearns = 0;
   uint64_t CtrlDeltas = 0;
 
-  bool ClassifierPath = true; ///< classifier program vs FDD-walk lookup
-  unsigned BatchSize = 1;     ///< hot-loop dequeue/enqueue batch size
+  unsigned BatchSize = 1; ///< hot-loop dequeue/enqueue batch size
 
   /// The shard placement this run executed under.
   PartitionSummary Partition;

@@ -179,16 +179,6 @@ size_t Table::removeShadowed() {
   return Removed;
 }
 
-std::map<FieldId, size_t> Table::constraintHistogram() const {
-  std::map<FieldId, size_t> H;
-  for (const Rule &R : Rules)
-    for (const auto &[F, V] : R.Pattern.constraints()) {
-      (void)V;
-      ++H[F];
-    }
-  return H;
-}
-
 std::string Table::str() const {
   std::ostringstream OS;
   for (const Rule &R : Rules)

@@ -117,11 +117,6 @@ public:
   /// (Purely a size optimization; semantics preserved.)
   size_t removeShadowed();
 
-  /// How many rules constrain each field. The engine's match-pipeline
-  /// lowering picks the most-constrained field as its bucket-dispatch
-  /// key (the same heuristic an FDD applies at its root).
-  std::map<FieldId, size_t> constraintHistogram() const;
-
   std::string str() const;
 
   friend bool operator==(const Table &A, const Table &B) {

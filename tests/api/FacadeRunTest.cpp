@@ -220,11 +220,14 @@ TEST(Facade, EngineObservabilityEndToEnd) {
 TEST(Facade, UnknownPartitionStrategyIsInvalidArgument) {
   Result<Compilation> C = compileFirewall();
   ASSERT_TRUE(C.ok()) << C.status().str();
-  Result<RunReport> R =
-      run(*C, "engine", RunOptions().partition("round-robin"));
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.status().code(), Code::InvalidArgument);
-  EXPECT_NE(R.status().message().find("round-robin"), std::string::npos);
+  // Every engine-based path validates through the same translation.
+  RunOptions O = RunOptions().partition("round-robin");
+  for (const Result<RunReport> &R :
+       {run(*C, "engine", O), run(*C, "net", O), serveNet(*C, O)}) {
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.status().code(), Code::InvalidArgument);
+    EXPECT_NE(R.status().message().find("round-robin"), std::string::npos);
+  }
 }
 
 TEST(Facade, OneSeedReproducesSequentialBackends) {

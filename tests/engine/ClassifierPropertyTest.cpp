@@ -5,17 +5,17 @@
 //
 //  - agreement: on random tables x random packets (and on every table
 //    the compiler produces for the case-study apps), the classifier
-//    program, the flattened-FDD walk, the bucket scan, and the reference
-//    Table::apply all yield the same action set;
+//    program, the flattened-FDD walk, and the reference Table::apply all
+//    yield the same action set;
 //  - op coverage: contiguous value ranges lower to dense jump tables,
 //    scattered ones to sorted-value binary search, and both execute
 //    correctly;
 //  - zero allocation: once the recycled PacketBuf is warm, steady-state
 //    classifier lookups perform no heap allocations (counted by a
 //    replacement global operator new);
-//  - zero freelist growth: a full engine run on the classifier path
-//    never grows its recycled egress/output pools — they are pre-sized
-//    from EngineConfig::BatchSize at construction.
+//  - zero freelist growth: a full engine run never grows its recycled
+//    egress/output pools — they are pre-sized from
+//    EngineConfig::BatchSize at construction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -89,12 +89,6 @@ std::vector<Packet> fddOut(const MatchPipeline &M, const Packet &P) {
   return canon(Out);
 }
 
-std::vector<Packet> scanOut(const MatchPipeline &M, const Packet &P) {
-  std::vector<Packet> Out;
-  M.applyScan(P, Out);
-  return canon(Out);
-}
-
 Packet randomPacket(Rng &R, const std::vector<FieldId> &Fields,
                     int64_t MaxVal) {
   Packet P;
@@ -140,8 +134,6 @@ void expectAllPathsAgree(const Table &T, const MatchPipeline &M,
       << T.str();
   ASSERT_EQ(fddOut(M, P), Ref) << What << ": FDD walk diverged on "
                                << P.str() << "\ntable:\n" << T.str();
-  ASSERT_EQ(scanOut(M, P), Ref) << What << ": bucket scan diverged on "
-                                << P.str() << "\ntable:\n" << T.str();
 }
 
 } // namespace
@@ -305,7 +297,6 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
   for (unsigned Shards : {1u, 2u, 4u}) {
     engine::EngineConfig Cfg;
     Cfg.NumShards = Shards;
-    Cfg.UseClassifier = true;
     Cfg.BatchSize = 32;
     Cfg.RecordTrace = false; // the throughput-benchmark shape
     Cfg.RecordDeliveries = false;

@@ -1,10 +1,10 @@
 //===- tests/engine/MatchPipelineTest.cpp - Flat lowering agreement -------===//
 //
-// The match pipeline's two lookup paths (flattened-FDD walk and bucket
-// scan) must agree with the reference flowtable::Table on arbitrary
-// packets — both on random tables and on every real table the compiler
-// produces for the case-study applications (including the tag-guarded
-// union tables).
+// The match pipeline's two lookups (the classifier program and the
+// flattened-FDD walk it is lowered from) must agree with the reference
+// flowtable::Table on arbitrary packets — both on random tables and on
+// every real table the compiler produces for the case-study applications
+// (including the tag-guarded union tables).
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,9 +48,9 @@ std::vector<Packet> fddOut(const MatchPipeline &M, const Packet &P) {
   return canon(Out);
 }
 
-std::vector<Packet> scanOut(const MatchPipeline &M, const Packet &P) {
+std::vector<Packet> classifierOut(const MatchPipeline &M, const Packet &P) {
   std::vector<Packet> Out;
-  M.applyScan(P, Out);
+  M.applyClassifier(P, Out);
   return canon(Out);
 }
 
@@ -94,9 +94,8 @@ void expectAgreement(const Table &T, const Packet &P) {
   EXPECT_EQ(fddOut(M, P), Ref) << "FDD walk diverged on " << P.str()
                                << "\ntable:\n"
                                << T.str();
-  EXPECT_EQ(scanOut(M, P), Ref) << "bucket scan diverged on " << P.str()
-                                << "\ntable:\n"
-                                << T.str();
+  EXPECT_EQ(classifierOut(M, P), Ref)
+      << "classifier diverged on " << P.str() << "\ntable:\n" << T.str();
 }
 
 } // namespace
@@ -107,9 +106,8 @@ TEST(MatchPipeline, EmptyTableDropsEverything) {
   std::vector<Packet> Out;
   M.apply(netkat::makePacket({1, 1}, {}), Out);
   EXPECT_TRUE(Out.empty());
-  M.applyScan(netkat::makePacket({1, 1}, {}), Out);
+  M.applyClassifier(netkat::makePacket({1, 1}, {}), Out);
   EXPECT_TRUE(Out.empty());
-  EXPECT_EQ(M.numRules(), 0u);
 }
 
 TEST(MatchPipeline, FirstMatchAndMulticast) {
@@ -148,8 +146,8 @@ TEST(MatchPipeline, RandomTablesAgreeWithReference) {
       auto Ref = tableOut(T, P);
       ASSERT_EQ(fddOut(M, P), Ref)
           << "FDD walk diverged on " << P.str() << "\ntable:\n" << T.str();
-      ASSERT_EQ(scanOut(M, P), Ref)
-          << "bucket scan diverged on " << P.str() << "\ntable:\n" << T.str();
+      ASSERT_EQ(classifierOut(M, P), Ref)
+          << "classifier diverged on " << P.str() << "\ntable:\n" << T.str();
     }
   }
 }
@@ -173,40 +171,21 @@ TEST(MatchPipeline, CompiledAppTablesAgree) {
         for (int I = 0; I != 40; ++I) {
           Packet P = randomPacket(R, Fields);
           ASSERT_EQ(fddOut(M, P), tableOut(T, P)) << A.Name;
-          ASSERT_EQ(scanOut(M, P), tableOut(T, P)) << A.Name;
+          ASSERT_EQ(classifierOut(M, P), tableOut(T, P)) << A.Name;
         }
       }
     topo::Configuration G = runtime::buildGuardedConfig(*C.N, A.Topo);
     for (SwitchId Sw : A.Topo.switches()) {
       const flowtable::Table &T = G.tableFor(Sw);
       MatchPipeline M(T);
-      EXPECT_EQ(M.numRules(), T.size());
       for (int I = 0; I != 40; ++I) {
         Packet P = randomPacket(R, Fields);
         P.set(runtime::tagField(),
               R.range(0, static_cast<int64_t>(C.N->numSets()) - 1));
         ASSERT_EQ(fddOut(M, P), tableOut(T, P)) << A.Name << " guarded";
-        ASSERT_EQ(scanOut(M, P), tableOut(T, P)) << A.Name << " guarded";
+        ASSERT_EQ(classifierOut(M, P), tableOut(T, P))
+            << A.Name << " guarded";
       }
     }
   }
-}
-
-TEST(MatchPipeline, DispatchFieldIsMostConstrained) {
-  FieldId Dst = fieldOf("ip_dst");
-  Table T;
-  for (int I = 0; I != 5; ++I) {
-    Rule Ru;
-    Ru.Priority = I;
-    Ru.Pattern.require(Dst, I);
-    if (I < 2)
-      Ru.Pattern.require(FieldPt, 1);
-    Ru.Actions = {flowtable::normalizeActionSeq({{FieldPt, 9}})};
-    T.add(Ru);
-  }
-  MatchPipeline M(T);
-  EXPECT_EQ(M.dispatchField(), Dst);
-  auto H = T.constraintHistogram();
-  EXPECT_EQ(H[Dst], 5u);
-  EXPECT_EQ(H[FieldPt], 2u);
 }
