@@ -15,7 +15,6 @@
 #include "api/EngineOptions.h"
 #include "api/StreamCollect.h"
 #include "engine/Engine.h"
-#include "engine/Partition.h"
 #include "net/Poller.h"
 #include "net/Server.h"
 #include "net/Session.h"
@@ -393,57 +392,6 @@ ReplayResult ReplayClient::run() {
 // Backend
 //===----------------------------------------------------------------------===//
 
-LatencyReport toReport(const engine::LatencyDigest &D) {
-  return {D.Samples, D.MeanSec, D.P50Sec, D.P90Sec, D.P99Sec, D.MaxSec};
-}
-
-/// Engine-side report fields shared by the run backend and serveNet:
-/// counters, latency digests, fault summary, obs trace, network trace.
-void fillEngineSide(RunReport &R, engine::Engine &E, unsigned Shards,
-                    engine::OverloadPolicy Overload, bool FaultsEnabled) {
-  engine::Stats S = E.stats();
-  R.Shards = Shards;
-  R.Batch = S.BatchSize;
-  R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
-  R.EdgeCut = S.Partition.CutWeight;
-  R.EdgeTotal = S.Partition.TotalWeight;
-  R.Overload = engine::overloadPolicyName(Overload);
-  for (const engine::ShardStats &SS : S.Shards)
-    R.ShardDetail.push_back({SS.PacketsProcessed, SS.QueueHighWater,
-                             SS.Dropped, SS.Transitions, SS.Switches,
-                             SS.Shed});
-  R.PacketsInjected = S.PacketsInjected;
-  R.PacketsDelivered = S.PacketsDelivered;
-  R.PacketsDropped = S.PacketsDropped;
-  R.SwitchHops = S.PacketsProcessed;
-  R.EventsDetected = S.EventsDetected;
-  R.ConfigTransitions = S.ConfigTransitions;
-  R.ElapsedSec = S.ElapsedSec;
-  R.UpdateLatency = toReport(S.Transition);
-  R.QueueDwell = toReport(S.QueueDwell);
-  R.BatchOccupancy = toReport(S.BatchOccupancy);
-  R.TraceRecorded = S.TraceRecorded;
-  R.TraceDropped = S.TraceDropped;
-  if (FaultsEnabled) {
-    R.Faults.Enabled = true;
-    R.Faults.Drops = S.FaultDrops;
-    R.Faults.Dups = S.FaultDups;
-    R.Faults.Delays = S.FaultDelays;
-    R.Faults.Shed = S.FaultSheds;
-    R.Faults.Stalls = S.FaultStalls;
-    R.Faults.Storms = S.FaultStorms;
-    R.Faults.DupDelivered = S.DupDelivered;
-    R.Faults.DupDropped = S.DupDropped;
-    faults::FaultLedger L = E.takeFaultLedger();
-    R.Faults.LedgerEntries = L.Records.size();
-    R.Faults.Ledger = L.canonical();
-    R.FaultCtx.ExcusedEntries = std::move(L.ExcusedEntries);
-    R.FaultCtx.DupEntries = std::move(L.DupEntries);
-  }
-  R.ObsTrace = E.takeObsTrace();
-  R.Trace = E.takeTrace();
-}
-
 /// Socket-side report fields from the server's counter snapshot.
 void fillNetSide(NetReport &N, const net::ServerStats &NS, bool Udp) {
   N.Enabled = true;
@@ -508,10 +456,9 @@ public:
 
     Cfg->DeliverySink = Srv.deliverySink();
     engine::Engine E(C.structure(), C.topology(), *Cfg);
-    consistency::StreamOptions SO = detail::streamOptions(O);
     std::optional<detail::StreamCollector> Col;
     if (O.StreamingCheck)
-      Col.emplace(E, C.structure(), C.topology(), SO);
+      Col.emplace(E, C.structure(), C.topology(), detail::streamOptions(O));
     Srv.attach(E);
     E.start();
 
@@ -531,13 +478,7 @@ public:
     E.finish();
 
     RunReport R;
-    fillEngineSide(R, E, O.Shards, Cfg->Overload, Inj.has_value());
-    if (Col) {
-      R.StreamCheck.Enabled = true;
-      R.StreamCheck.Window = SO.Window;
-      R.StreamCheck.Result = Col->finalize(R.TraceDropped);
-      R.StreamCheck.StreamShed = Col->lagShed();
-    }
+    detail::fillEngineReport(R, E, O, *Cfg, Col ? &*Col : nullptr);
     fillNetSide(R.Net, Srv.stats(), O.NetUdp);
     R.Net.Port = Srv.port();
     R.Net.Connections = RR.Connected;
@@ -587,10 +528,9 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
 
   Cfg->DeliverySink = Srv.deliverySink();
   engine::Engine E(C.structure(), C.topology(), *Cfg);
-  consistency::StreamOptions SO = detail::streamOptions(O);
-  std::optional<api::detail::StreamCollector> Col;
+  std::optional<detail::StreamCollector> Col;
   if (O.StreamingCheck)
-    Col.emplace(E, C.structure(), C.topology(), SO);
+    Col.emplace(E, C.structure(), C.topology(), detail::streamOptions(O));
   Srv.attach(E);
   E.start();
 
@@ -622,45 +562,12 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
   RunReport R;
   R.Backend = "net";
   R.Seed = O.Seed;
-  fillEngineSide(R, E, O.Shards, Cfg->Overload, Inj.has_value());
-  if (Col) {
-    R.StreamCheck.Enabled = true;
-    R.StreamCheck.Window = SO.Window;
-    R.StreamCheck.Result = Col->finalize(R.TraceDropped);
-    R.StreamCheck.StreamShed = Col->lagShed();
-  }
+  detail::fillEngineReport(R, E, O, *Cfg, Col ? &*Col : nullptr);
   fillNetSide(R.Net, Srv.stats(), S.Udp);
   R.Net.Port = Srv.port();
   R.Net.Connections = R.Net.Accepted;
 
-  DropAudit &A = R.Audit;
-  A.Injected = R.PacketsInjected;
-  A.Delivered = R.PacketsDelivered;
-  A.Dropped = R.PacketsDropped;
-  uint64_t EffDelivered = A.Delivered > R.Faults.DupDelivered
-                              ? A.Delivered - R.Faults.DupDelivered
-                              : 0;
-  uint64_t EffDropped =
-      A.Dropped > R.Faults.DupDropped ? A.Dropped - R.Faults.DupDropped : 0;
-  uint64_t Accounted = EffDelivered + EffDropped;
-  A.SilentLoss = A.Injected > Accounted ? A.Injected - Accounted : 0;
-  A.Ok = A.SilentLoss == 0;
-
-  // Streaming-only runs keep no merged trace (the batch replay would
-  // pass vacuously); in differential mode both run and are compared.
-  if (O.CheckConsistency && (!R.StreamCheck.Enabled || O.CheckDifferential)) {
-    R.Checked = true;
-    R.Consistency = consistency::checkAgainstNes(
-        R.Trace, C.topology(), C.structure(),
-        R.Faults.Enabled ? &R.FaultCtx : nullptr);
-    if (R.StreamCheck.Enabled) {
-      R.StreamCheck.DifferentialRan = true;
-      if (R.StreamCheck.Result.Verdict !=
-          consistency::StreamVerdict::Inconclusive)
-        R.StreamCheck.DifferentialMatched =
-            R.StreamCheck.Result.ok() == R.Consistency.Correct;
-    }
-  }
+  detail::auditAndCheck(R, C, O);
   return R;
 }
 

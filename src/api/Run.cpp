@@ -2,6 +2,7 @@
 
 #include "api/Run.h"
 
+#include "api/EngineOptions.h"
 #include "api/Json.h"
 
 #include <algorithm>
@@ -132,51 +133,7 @@ Result<RunReport> Run::execute(const RunOptions &O) {
   Report->Seed = O.Seed;
   Report->Workload = O.Workload;
 
-  // Packet-conservation audit (backend-agnostic): every injection must
-  // end in a delivery or a counted drop. Multicast can only add terminal
-  // outcomes, so injected > delivered + dropped means silent loss.
-  // Injected duplicates add terminal outcomes that no injection owns, so
-  // their deliveries/drops are discounted before the comparison.
-  DropAudit &A = Report->Audit;
-  A.Injected = Report->PacketsInjected;
-  A.Delivered = Report->PacketsDelivered;
-  A.Dropped = Report->PacketsDropped;
-  uint64_t EffDelivered =
-      A.Delivered > Report->Faults.DupDelivered
-          ? A.Delivered - Report->Faults.DupDelivered
-          : 0;
-  uint64_t EffDropped = A.Dropped > Report->Faults.DupDropped
-                            ? A.Dropped - Report->Faults.DupDropped
-                            : 0;
-  uint64_t Accounted = EffDelivered + EffDropped;
-  A.SilentLoss = A.Injected > Accounted ? A.Injected - Accounted : 0;
-  A.Ok = A.SilentLoss == 0;
-
-  // Streaming-only runs keep no merged trace: replaying the (empty)
-  // trace through the batch checker would pass vacuously, so the batch
-  // replay runs only when a trace was actually recorded — always
-  // without streaming, and in differential mode alongside it.
-  bool BatchCheck = O.CheckConsistency &&
-                    (!Report->StreamCheck.Enabled || O.CheckDifferential);
-  if (BatchCheck) {
-    // The excusal context matters beyond fault plans: a shed overload
-    // policy ledgers the chains it retired under plain pressure too.
-    bool HasCtx = Report->Faults.Enabled ||
-                  !Report->FaultCtx.ExcusedEntries.empty() ||
-                  !Report->FaultCtx.DupEntries.empty();
-    Report->Checked = true;
-    Report->Consistency = consistency::checkAgainstNes(
-        Report->Trace, Topo, C->structure(),
-        HasCtx ? &Report->FaultCtx : nullptr);
-  }
-  if (Report->StreamCheck.Enabled && Report->Checked) {
-    StreamCheckReport &SC = Report->StreamCheck;
-    SC.DifferentialRan = true;
-    // An inconclusive streaming verdict makes no pass/fail claim, so
-    // there is nothing to disagree with.
-    if (SC.Result.Verdict != consistency::StreamVerdict::Inconclusive)
-      SC.DifferentialMatched = SC.Result.ok() == Report->Consistency.Correct;
-  }
+  detail::auditAndCheck(*Report, *C, O);
   return Report;
 }
 

@@ -31,6 +31,15 @@ LatencyDigest digestFrom(const obs::HistogramSnapshot &H, double Scale) {
   return D;
 }
 
+/// A trace-log excusal: the chain ending at \p Ticket was cut by a
+/// ledgered drop or an overload shed.
+Engine::StreamItem excuseItem(uint64_t Ticket) {
+  Engine::StreamItem It;
+  It.K = Engine::StreamItem::Excuse;
+  It.Ticket = Ticket;
+  return It;
+}
+
 } // namespace
 
 const char *engine::overloadPolicyName(OverloadPolicy P) {
@@ -206,11 +215,8 @@ int64_t Engine::logEntry(Shard &S, const Packet &Lp, int64_t Parent,
   if (!C.RecordTrace && !C.StreamTrace)
     return -1;
   uint64_t Ticket = Tickets.fetch_add(1);
-  if (C.RecordTrace)
-    S.Trace.push_back({Ticket, Parent, Lp, IsDelivery, Tag});
-  if (C.StreamTrace)
-    S.StreamPending.push_back(
-        {StreamItem::Entry, Ticket, Parent, Lp, IsDelivery, false});
+  S.Log.push_back({StreamItem::Entry, Ticket, Parent, Lp, IsDelivery,
+                   /*IsDup=*/false, Tag});
   return static_cast<int64_t>(Ticket);
 }
 
@@ -232,12 +238,14 @@ uint64_t Engine::drainTraceStream(std::vector<StreamItem> &Out) {
     }
     {
       // Shed excusals are written by arbitrary producer threads under
-      // the overflow lock; surface them as Excuse items.
+      // the overflow lock; surface the undrained ones as Excuse items.
       std::lock_guard<std::mutex> Lock(S->OverflowMu);
-      for (int64_t T : S->ShedStream)
-        Out.push_back({StreamItem::Excuse, static_cast<uint64_t>(T), -1,
-                       Packet(), false, false});
-      S->ShedStream.clear();
+      for (size_t I = S->ShedDrained; I != S->ShedTickets.size(); ++I)
+        Out.push_back(excuseItem(static_cast<uint64_t>(S->ShedTickets[I])));
+      if (C.RecordTrace)
+        S->ShedDrained = S->ShedTickets.size(); // mergeResults reads them
+      else
+        S->ShedTickets.clear();
     }
   }
   return W == UINT64_MAX ? 0 : W;
@@ -335,11 +343,8 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
     if (M.P.FromDup)
       DupDropped.add();
     // The hop's egress entry is now a chain leaf; excuse it.
-    if (M.P.Parent >= 0) {
+    if (M.P.Parent >= 0)
       Dst.ShedTickets.push_back(M.P.Parent);
-      if (C.StreamTrace)
-        Dst.ShedStream.push_back(M.P.Parent);
-    }
   } else if (M.K == Msg::Inject) {
     Injected.add();
   }
@@ -400,8 +405,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     if (P.FromDup)
       DupDelivered.add();
     HostId H = Eg->Host;
-    if (C.RecordDeliveries)
-      S.Delivered.push_back({H, Out});
     if (C.DeliverySink)
       C.DeliverySink(H, Out);
 
@@ -442,13 +445,8 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     // which the ledger excuses for the checker.
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Drop, At.Sw, At.Pt, Out));
-    if (P.Parent >= 0) {
-      S.ExcusedTickets.push_back(P.Parent);
-      if (C.StreamTrace)
-        S.StreamPending.push_back({StreamItem::Excuse,
-                                   static_cast<uint64_t>(P.Parent), -1,
-                                   Packet(), false, false});
-    }
+    if (P.Parent >= 0)
+      S.Log.push_back(excuseItem(static_cast<uint64_t>(P.Parent)));
     Dropped.add();
     S.Dropped.add();
     FaultDrops.add();
@@ -503,11 +501,8 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     // the ledger marks that entry so the checker prunes the duplicate
     // subtree before verifying Definition 6.
     int64_t DupTicket = logEntry(S, Out, P.Parent, false, P.Tag);
-    if (DupTicket >= 0) {
-      S.DupTickets.push_back(DupTicket);
-      if (C.StreamTrace)
-        S.StreamPending.back().IsDup = true; // the entry just logged
-    }
+    if (DupTicket >= 0)
+      S.Log.back().IsDup = true; // the entry just logged
     FillHop(S.OutBufs[DstShard].next(), DupTicket, /*FromDup=*/true);
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
@@ -934,13 +929,13 @@ void Engine::workerLoop(unsigned ShardIdx) {
   uint64_t Spins = 0;
   uint64_t SinceReclaim = 0;
   unsigned SleepUs = 1;
-  // Streaming sink: publish this iteration's trace entries, then promise
+  // Streaming sink: publish this iteration's log records, then promise
   // a watermark. The order is load-bearing — the flush precedes the
   // store with no logging in between, and any future logEntry on this
   // thread draws a ticket >= the stored value, so "no entry below the
   // watermark is still unpublished by this shard" holds by construction.
   auto FlushStream = [&] {
-    if (!S.StreamPending.empty()) {
+    if (size_t New = S.Log.size() - S.Flushed) {
       std::lock_guard<std::mutex> Lock(S.StreamMu);
       // Bounded hand-off: a lagging collector must cost shed entries
       // (counted, verdict-degrading), never memory that grows with the
@@ -950,13 +945,19 @@ void Engine::workerLoop(unsigned ShardIdx) {
       size_t Room = S.StreamBuf.size() < C.StreamBufCap
                         ? C.StreamBufCap - S.StreamBuf.size()
                         : 0;
-      size_t Take = std::min(Room, S.StreamPending.size());
-      S.StreamBuf.insert(
-          S.StreamBuf.end(), std::make_move_iterator(S.StreamPending.begin()),
-          std::make_move_iterator(S.StreamPending.begin() +
-                                  static_cast<ptrdiff_t>(Take)));
-      S.StreamLagShed += S.StreamPending.size() - Take;
-      S.StreamPending.clear();
+      size_t Take = std::min(Room, New);
+      auto First = S.Log.begin() + static_cast<ptrdiff_t>(S.Flushed);
+      auto Last = First + static_cast<ptrdiff_t>(Take);
+      if (C.RecordTrace) {
+        // mergeResults still needs the log: hand over copies.
+        S.StreamBuf.insert(S.StreamBuf.end(), First, Last);
+        S.Flushed = S.Log.size();
+      } else {
+        S.StreamBuf.insert(S.StreamBuf.end(), std::make_move_iterator(First),
+                           std::make_move_iterator(Last));
+        S.Log.clear();
+      }
+      S.StreamLagShed += New - Take;
     }
     uint64_t T = Tickets.load(std::memory_order_relaxed);
     if (T != S.StreamWatermark.load(std::memory_order_relaxed))
@@ -1144,46 +1145,46 @@ void Engine::run(const Workload &W) {
 }
 
 void Engine::mergeResults() {
-  // Global trace: sort shard-local records by ticket. Per-switch order
-  // equals each owner's processing order (a switch's entries all come
-  // from one thread, ticketed in program order) and a parent's ticket
-  // precedes its children's (children are ticketed after the parent's
-  // enqueue), so the merged log is a legal interleaving for the
-  // happens-before derivation.
-  std::vector<const TraceRec *> All;
+  // Global trace: sort the shards' logged entries by ticket. Per-switch
+  // order equals each owner's processing order (a switch's entries all
+  // come from one thread, ticketed in program order) and a parent's
+  // ticket precedes its children's (children are ticketed after the
+  // parent's enqueue), so the merged log is a legal interleaving for the
+  // happens-before derivation. A stream-only run's logs were emptied by
+  // the workers' final flush, so nothing merges.
+  std::vector<const StreamItem *> All;
   for (auto &S : Shards)
-    for (const TraceRec &R : S->Trace)
-      All.push_back(&R);
+    for (const StreamItem &It : S->Log)
+      if (It.K == StreamItem::Entry)
+        All.push_back(&It);
   std::sort(All.begin(), All.end(),
-            [](const TraceRec *A, const TraceRec *B) {
+            [](const StreamItem *A, const StreamItem *B) {
               return A->Ticket < B->Ticket;
             });
 
   std::unordered_map<uint64_t, int> IndexOf;
   IndexOf.reserve(All.size());
-  for (const TraceRec *R : All) {
+  for (const StreamItem *It : All) {
     consistency::TraceEntry E;
-    E.Lp = R->Lp;
-    E.IsDelivery = R->IsDelivery;
+    E.Lp = It->Lp;
+    E.IsDelivery = It->IsDelivery;
     E.Parent =
-        R->Parent < 0 ? -1 : IndexOf.at(static_cast<uint64_t>(R->Parent));
-    IndexOf.emplace(R->Ticket, MergedTrace.append(std::move(E)));
-    MergedTags.push_back(R->Tag);
+        It->Parent < 0 ? -1 : IndexOf.at(static_cast<uint64_t>(It->Parent));
+    IndexOf.emplace(It->Ticket, MergedTrace.append(std::move(E)));
+    MergedTags.push_back(It->Tag);
   }
 
   // Learn times: merge the per-shard monotonic stamps and derive the
   // Figure 16(b) seconds-after-start map on the same clock.
   int64_t Base = StartNs.load();
   for (auto &S : Shards) {
-    MergedDeliveries.insert(MergedDeliveries.end(), S->Delivered.begin(),
-                            S->Delivered.end());
     for (const auto &[Key, LearnAt] : S->LearnNs)
       MergedLearnTimes.emplace(
           Key, static_cast<double>(LearnAt - Base) * 1e-9);
   }
 
   // Fault ledger: collect the per-shard records (owner-written, read
-  // post-join) and remap the excused/duplicate tickets into merged
+  // post-join) and remap the log's excused/duplicate tickets into merged
   // trace indices for the checker. The record multiset is content-
   // addressed, so its canonical form reproduces run to run; the index
   // lists are run-local annotations. Shed tickets are ledgered even
@@ -1199,13 +1200,13 @@ void Engine::mergeResults() {
     // translate into — the stream items carried the excusals already.
     if (!C.RecordTrace)
       continue;
-    if (C.Faults) {
-      for (int64_t T : S->ExcusedTickets)
-        Ledger.ExcusedEntries.push_back(
-            IndexOf.at(static_cast<uint64_t>(T)));
-      for (int64_t T : S->DupTickets)
-        Ledger.DupEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
-    }
+    for (const StreamItem &It : S->Log)
+      if (It.K == StreamItem::Excuse)
+        Ledger.ExcusedEntries.push_back(IndexOf.at(It.Ticket));
+      else if (It.IsDup)
+        Ledger.DupEntries.push_back(IndexOf.at(It.Ticket));
+    // Every producer has joined; a collector still draining only moves
+    // its ShedDrained cursor, so the list is stable here.
     for (int64_t T : S->ShedTickets)
       Ledger.ExcusedEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
   }

@@ -31,12 +31,15 @@
 ///    monitors) are RCU-style lock-free, and old views are retired
 ///    through an epoch domain (engine/Rcu.h).
 ///
-/// Shard-local trace entries carry tickets from a global atomic counter;
-/// run() merges them into a consistency::NetworkTrace whose log order is
-/// a legal global interleaving (per-switch order is the owner's real
-/// processing order; a parent's ticket always precedes its children's),
-/// so the Definition 6 checker applies to concurrent executions exactly
-/// as it does to the sequential Machine and Simulation.
+/// Each shard records every traced hop once, in one owner-private log
+/// whose entries carry tickets from a global atomic counter. run() merges
+/// the logs into a consistency::NetworkTrace whose log order is a legal
+/// global interleaving (per-switch order is the owner's real processing
+/// order; a parent's ticket always precedes its children's), so the
+/// Definition 6 checker applies to concurrent executions exactly as it
+/// does to the sequential Machine and Simulation. The fault ledger's
+/// excusal indices and the live stream (drainTraceStream) are read off
+/// the same log.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,16 +117,19 @@ struct EngineConfig {
   bool CtrlBroadcast = false;
   /// Hosts answer echo requests in-engine (KindRequest -> KindReply).
   bool EchoReplies = true;
-  /// Record the network trace for the consistency checkers. Turn off
-  /// for pure-throughput benchmarking.
+  /// Keep each shard's trace log for the whole run, so finish() can
+  /// build the merged trace, its tags and the fault ledger's excusal
+  /// indices from it. Turn off (with StreamTrace) for pure-throughput
+  /// benchmarking: the hot loop then records nothing.
   bool RecordTrace = true;
-  /// Stream trace entries to an external collector during the run
-  /// (drainTraceStream) instead of — or, for differential testing, in
-  /// addition to — accumulating the merged trace. The streaming
-  /// Definition 6 checker rides this: verification memory stays
-  /// O(window) no matter how long the run is. With RecordTrace off and
-  /// StreamTrace on, mergeResults keeps no trace and the fault ledger's
-  /// merged-trace indices stay empty (stream items carry the excusals).
+  /// Hand each shard's trace log to an external collector during the
+  /// run (drainTraceStream) instead of — or, for differential testing,
+  /// in addition to — keeping it. The streaming Definition 6 checker
+  /// rides this: verification memory stays O(window) no matter how long
+  /// the run is. With RecordTrace off, a shard clears its log at every
+  /// flush and its shed list at every drain, so the run keeps no per-hop
+  /// state past the hand-off; the merged trace and the ledger's index
+  /// lists stay empty (stream items carry the excusals).
   bool StreamTrace = false;
   /// Per-shard cap on buffered stream items awaiting the collector
   /// (StreamBuf). A collector that falls behind the data path (e.g. the
@@ -134,9 +140,9 @@ struct EngineConfig {
   /// bounded, the verdict degrades honestly, and the data path never
   /// blocks on verification.
   size_t StreamBufCap = 1 << 16;
-  /// Record every host delivery in deliveries(). Turn off (with
-  /// RecordTrace) for pure-throughput benchmarking: recording
-  /// necessarily allocates per packet.
+  /// Has no effect: the engine keeps no delivery log (DeliverySink sees
+  /// every delivery). Kept only because perfbench/ still assigns it; it
+  /// is deleted with the next change to the benchmark.
   bool RecordDeliveries = true;
   /// Messages dequeued/enqueued per hot-loop iteration (amortizes the
   /// MPSC queue atomics; 1 degenerates to a message-at-a-time loop).
@@ -207,10 +213,12 @@ public:
   /// engine is read-only afterwards.
   void finish();
 
-  /// One element of the streaming trace feed (EngineConfig::StreamTrace):
-  /// either a trace entry or an excusal (a ledgered drop/shed whose
-  /// chain may legitimately end at Ticket). Parent is the producing
-  /// occurrence's ticket, -1 for a root.
+  /// One record of a shard's trace log, and so one element of the
+  /// streaming feed (EngineConfig::StreamTrace): either a trace entry or
+  /// an excusal (a ledgered drop/shed whose chain may legitimately end at
+  /// Ticket). Parent is the producing occurrence's ticket, -1 for a
+  /// root; IsDup marks a fault-plan duplicate's egress entry; Tag is the
+  /// configuration the entry's packet carried.
   struct StreamItem {
     enum Kind : uint8_t { Entry, Excuse } K = Entry;
     uint64_t Ticket = 0;
@@ -218,6 +226,7 @@ public:
     netkat::Packet Lp;
     bool IsDelivery = false;
     bool IsDup = false;
+    nes::SetId Tag = 0;
   };
 
   /// Drains every shard's buffered stream items into \p Out (appended;
@@ -266,11 +275,6 @@ public:
 
   /// Moves the ledger out (for report assembly on a dying engine).
   faults::FaultLedger takeFaultLedger() { return std::move(Ledger); }
-
-  /// Packets handed to hosts, in per-shard processing order (merged).
-  const std::vector<std::pair<HostId, netkat::Packet>> &deliveries() const {
-    return MergedDeliveries;
-  }
 
   /// The merged obs event timeline, sorted by timestamp (valid after
   /// run; empty unless EngineConfig::TraceEventCapacity was set). Moves
@@ -363,14 +367,6 @@ private:
     return M.K == Msg::CtrlMerge || M.K == Msg::CtrlDelta;
   }
 
-  struct TraceRec {
-    uint64_t Ticket = 0;
-    int64_t Parent = -1;
-    netkat::Packet Lp;
-    bool IsDelivery = false;
-    nes::SetId Tag = 0;
-  };
-
   /// The per-shard latency-histogram pair (heap-allocated only when
   /// EngineConfig::LatencyHistograms is on; ~15 KB each).
   struct ShardLatency {
@@ -401,8 +397,13 @@ private:
     std::mutex CtrlMu;
     std::deque<Msg> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
-    std::vector<TraceRec> Trace;
-    std::vector<std::pair<HostId, netkat::Packet>> Delivered;
+    /// The shard's trace log (owner-private): one Entry per logged hop
+    /// (IsDup on a duplicate's egress entry) and one Excuse per
+    /// fault-dropped hop's parent. With RecordTrace it lives until
+    /// mergeResults and the stream sink hands the collector copies of
+    /// [Flushed, end); stream-only, the sink moves it out and clears it.
+    std::vector<StreamItem> Log;
+    size_t Flushed = 0;
     /// First-learn stamp per (switch, event), raw monotonicNs() — the
     /// same clock as DetectNs, so the Transition digest is a pure
     /// monotonic difference (no wall-clock skew can enter it).
@@ -443,20 +444,20 @@ private:
     uint64_t StallEvery = 0;               ///< resolved stall rule; 0 = none
     uint32_t StallUs = 0;
     std::vector<faults::FaultRecord> FaultRecs; ///< ledgered link faults
-    std::vector<int64_t> ExcusedTickets; ///< parents of fault-dropped hops
-    std::vector<int64_t> DupTickets;     ///< duplicate egress tickets
-    std::vector<int64_t> ShedTickets;    ///< parents of shed msgs (OverflowMu)
-    /// Streaming trace sink (EngineConfig::StreamTrace). StreamPending
-    /// is owner-private; the owner flushes it to StreamBuf (StreamMu)
-    /// once per loop iteration and then publishes StreamWatermark — a
-    /// promise that this shard will never again log a ticket below it.
-    /// ShedStream mirrors ShedTickets for producers (OverflowMu).
-    std::vector<StreamItem> StreamPending;
+    /// Parents of messages shed here, written by whichever producer shed
+    /// them (OverflowMu). drainTraceStream surfaces [ShedDrained, end) as
+    /// Excuse items, then clears the list unless RecordTrace keeps it
+    /// for mergeResults.
+    std::vector<int64_t> ShedTickets;
+    size_t ShedDrained = 0;
+    /// Streaming trace sink (EngineConfig::StreamTrace): the owner
+    /// flushes its log to StreamBuf (StreamMu) once per loop iteration
+    /// and then publishes StreamWatermark — a promise that this shard
+    /// will never again log a ticket below it.
     std::mutex StreamMu;
     std::vector<StreamItem> StreamBuf;
     uint64_t StreamLagShed = 0; ///< items shed at StreamBufCap (StreamMu)
     std::atomic<uint64_t> StreamWatermark{0};
-    std::vector<int64_t> ShedStream;
     /// Observability (obs/): both null when the corresponding
     /// EngineConfig knob is off — recording calls then cost one
     /// predictable null test and the hot loop takes no timestamps.
@@ -609,7 +610,6 @@ private:
   // Merged results (valid after run()).
   consistency::NetworkTrace MergedTrace;
   std::vector<nes::SetId> MergedTags;
-  std::vector<std::pair<HostId, netkat::Packet>> MergedDeliveries;
   std::map<std::pair<SwitchId, nes::EventId>, double> MergedLearnTimes;
   std::vector<int64_t> TransitionNs; ///< detect->learn samples, ns
   std::vector<obs::TraceEvent> MergedObsTrace;

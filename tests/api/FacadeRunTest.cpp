@@ -10,8 +10,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Api.h"
+#include "api/EngineOptions.h"
 
 #include "apps/Programs.h"
+#include "consistency/Check.h"
+#include "engine/Engine.h"
+#include "engine/TrafficGen.h"
 
 #include <gtest/gtest.h>
 
@@ -215,6 +219,47 @@ TEST(Facade, EngineObservabilityEndToEnd) {
   // ...but the update-latency digest is a protocol by-product and is
   // populated either way (the ring app's probe flips its config).
   EXPECT_GT(Off->ConfigTransitions, 0u);
+}
+
+TEST(Facade, EngineReportExcusesOverloadShedsWithoutAPlan) {
+  // A shed overload policy retires chains under plain pressure, with no
+  // fault plan active. The shared engine-report fill must still hand the
+  // ledger's excusal context to the batch check; without it the cut
+  // chains read as a Definition 6 violation.
+  apps::App A = apps::ringApp(8, 4);
+  Result<Compilation> C =
+      compile(CompileOptions().programAst(A.Ast).topology(A.Topo));
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  for (const char *Policy : {"shed-oldest", "shed-newest"}) {
+    RunOptions O = RunOptions().shards(2).overload(Policy);
+    Result<engine::EngineConfig> Cfg = detail::engineConfig(O);
+    ASSERT_TRUE(Cfg.ok()) << Cfg.status().str();
+    Cfg->QueueCapacity = 2;
+    engine::Engine E(C->structure(), C->topology(), *Cfg);
+    engine::TrafficGen G(C->topology(), 1);
+    E.run(G.pings(4, 64));
+
+    RunReport R;
+    detail::fillEngineReport(R, E, O, *Cfg, /*Col=*/nullptr);
+    detail::auditAndCheck(R, *C, O);
+    EXPECT_FALSE(R.Faults.Enabled) << Policy;
+    uint64_t Shed = 0;
+    for (const ShardReport &SR : R.ShardDetail)
+      Shed += SR.Shed;
+    EXPECT_GT(Shed, 0u) << Policy;
+    ASSERT_FALSE(R.FaultCtx.ExcusedEntries.empty())
+        << Policy << ": sheds cut no traced chain";
+    EXPECT_TRUE(R.Audit.Ok) << Policy;
+    ASSERT_TRUE(R.Checked);
+    EXPECT_TRUE(R.Consistency.Correct) << Policy << ": "
+                                       << R.Consistency.Reason;
+    // The context is what makes the difference.
+    EXPECT_FALSE(consistency::checkAgainstNes(R.Trace, C->topology(),
+                                              C->structure(), nullptr)
+                     .Correct)
+        << Policy;
+  }
 }
 
 TEST(Facade, UnknownPartitionStrategyIsInvalidArgument) {

@@ -299,7 +299,6 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
     Cfg.NumShards = Shards;
     Cfg.BatchSize = 32;
     Cfg.RecordTrace = false; // the throughput-benchmark shape
-    Cfg.RecordDeliveries = false;
     Cfg.EchoReplies = false;
     engine::Engine E(*C->N, A.Topo, Cfg);
     engine::TrafficGen G(A.Topo, 3);

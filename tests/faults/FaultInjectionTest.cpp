@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 using namespace eventnet;
 
@@ -235,6 +237,102 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return N;
     });
+
+TEST(FaultInjection, StreamAndMergedTraceReadOneLog) {
+  // With RecordTrace and StreamTrace both on, the live stream and the
+  // merged trace are two readings of each shard's one trace log: the
+  // drained entries, sorted by ticket, are the merged trace entry for
+  // entry, and the stream's excusals (shed ones included) and duplicate
+  // marks are exactly the ledger's index lists.
+  apps::App A = apps::ringApp(6, 3);
+  api::Result<api::Compilation> C = api::compile(
+      api::CompileOptions().programAst(A.Ast).topology(A.Topo));
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  // Drop, dup, delay, stall, clamp and storm at once.
+  faults::FaultPlan Plan;
+  Plan.Seed = 19;
+  Plan.Links.push_back({-1, -1, 0.05, 0.05, 0.1, 0, -1});
+  Plan.Stalls.push_back({-1, 8, 100});
+  Plan.QueueCapacityClamp = 4;
+  Plan.CtrlStormRepeat = 2;
+  faults::Injector Inj(Plan);
+
+  engine::EngineConfig Cfg;
+  Cfg.NumShards = 3;
+  Cfg.Overload = engine::OverloadPolicy::ShedOldest;
+  Cfg.Faults = &Inj;
+  Cfg.RecordTrace = true;
+  Cfg.StreamTrace = true;
+  engine::Engine E(C->structure(), A.Topo, Cfg);
+
+  engine::TrafficGen G(A.Topo, 17);
+  engine::Workload W = G.bulk(topo::HostH1, topo::HostH2, 200, 100);
+  W += G.probe(topo::HostH1, topo::HostH2);
+  W += G.bulk(topo::HostH1, topo::HostH2, 200, 100);
+  E.run(W);
+
+  // Nobody drained during the run; the workload fits under StreamBufCap,
+  // so the stream holds every record.
+  ASSERT_EQ(E.streamLagShed(), 0u);
+  std::vector<engine::Engine::StreamItem> Items;
+  E.drainTraceStream(Items);
+
+  engine::Stats S = E.stats();
+  EXPECT_GT(S.FaultDrops, 0u);
+  EXPECT_GT(S.FaultDups, 0u);
+  EXPECT_GT(S.FaultSheds, 0u);
+
+  std::vector<const engine::Engine::StreamItem *> Entries;
+  std::vector<uint64_t> ExcuseTickets;
+  for (const engine::Engine::StreamItem &It : Items)
+    if (It.K == engine::Engine::StreamItem::Excuse)
+      ExcuseTickets.push_back(It.Ticket);
+    else
+      Entries.push_back(&It);
+  std::sort(Entries.begin(), Entries.end(),
+            [](const engine::Engine::StreamItem *X,
+               const engine::Engine::StreamItem *Y) {
+              return X->Ticket < Y->Ticket;
+            });
+
+  const std::vector<consistency::TraceEntry> &T = E.trace().entries();
+  ASSERT_EQ(Entries.size(), T.size());
+  ASSERT_EQ(E.traceTags().size(), T.size());
+  std::unordered_map<uint64_t, int> IndexOf;
+  std::vector<int> Dups;
+  for (size_t I = 0; I != T.size(); ++I) {
+    const engine::Engine::StreamItem &It = *Entries[I];
+    int Parent = -1;
+    if (It.Parent >= 0) {
+      auto P = IndexOf.find(static_cast<uint64_t>(It.Parent));
+      ASSERT_NE(P, IndexOf.end()) << "entry " << I << ": parent unlogged";
+      Parent = P->second;
+    }
+    EXPECT_TRUE(It.Lp == T[I].Lp) << "entry " << I;
+    EXPECT_EQ(It.IsDelivery, T[I].IsDelivery) << "entry " << I;
+    EXPECT_EQ(Parent, T[I].Parent) << "entry " << I;
+    EXPECT_EQ(It.Tag, E.traceTags()[I]) << "entry " << I;
+    IndexOf.emplace(It.Ticket, static_cast<int>(I));
+    if (It.IsDup)
+      Dups.push_back(static_cast<int>(I));
+  }
+
+  std::vector<int> Excused;
+  for (uint64_t Ticket : ExcuseTickets) {
+    auto P = IndexOf.find(Ticket);
+    ASSERT_NE(P, IndexOf.end()) << "excusal of unlogged ticket " << Ticket;
+    Excused.push_back(P->second);
+  }
+  std::sort(Excused.begin(), Excused.end());
+  Excused.erase(std::unique(Excused.begin(), Excused.end()), Excused.end());
+
+  const faults::FaultLedger &L = E.faultLedger();
+  EXPECT_FALSE(Excused.empty());
+  EXPECT_FALSE(Dups.empty());
+  EXPECT_EQ(Excused, L.ExcusedEntries);
+  EXPECT_EQ(Dups, L.DupEntries);
+}
 
 TEST(FaultInjection, OverloadPolicyNamesRoundTrip) {
   using engine::OverloadPolicy;
