@@ -15,8 +15,10 @@
 #include "obs/Metrics.h"
 #include "obs/Sampler.h"
 
+#include <chrono>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 using namespace eventnet;
 using namespace eventnet::api;
@@ -61,7 +63,24 @@ public:
       Sampler->start();
     }
 
-    E.run(W);
+    if (Col) {
+      // Closed loop with the collector: drive the workload phase by phase
+      // and let the checker catch up after each one. run() would inject
+      // every phase back to back and outrun it; the shards would then
+      // shed stream items at StreamBufCap and the verdict would end
+      // inconclusive. Waiting until at most half the cap is buffered
+      // leaves a phase of headroom in every shard's hand-off.
+      E.start();
+      for (const engine::Phase &Ph : W.Phases) {
+        E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
+        E.awaitQuiescence();
+        while (E.streamBacklog() > Cfg->StreamBufCap / 2)
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      E.finish();
+    } else {
+      E.run(W);
+    }
     if (Sampler)
       Sampler->stop(); // emits one final post-run sample
 

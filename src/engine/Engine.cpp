@@ -89,6 +89,25 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     Sl.Published.store(new SwitchView{Sl.Tag, Sl.E, 0});
   }
 
+  // Per-host ingress table. Direct indexing by HostId unless the ids are
+  // too sparse for that to stay O(hosts); then a sorted id list maps each
+  // host to its row.
+  const std::map<HostId, Location> &Hosts = Topo.hosts();
+  HostId MaxHost = Hosts.empty() ? 0 : Hosts.rbegin()->first;
+  bool Dense = MaxHost <= 4 * Hosts.size() + 1024;
+  if (Dense)
+    HostTable.resize(static_cast<size_t>(MaxHost) + 1);
+  for (const auto &[H, At] : Hosts) {
+    uint32_t D = Idx.denseOf(At.Sw);
+    HostIngress Row{At, D, Slots[D].Shard};
+    if (Dense) {
+      HostTable[H] = Row;
+    } else {
+      SparseHostIds.push_back(H);
+      HostTable.push_back(Row);
+    }
+  }
+
   for (unsigned I = 0; I != C.NumShards; ++I) {
     auto S = std::make_unique<Shard>();
     S->Index = I;
@@ -421,13 +440,18 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
         Msg &R = S.OutBufs[Slots[D].Shard].next();
         R.K = Msg::Inject;
         R.From = H;
-        R.Header = sim::makeWireHeader(H, static_cast<HostId>(Src),
-                                       sim::KindReply, Seq);
+        // Written in place, so the recycled slot keeps its capacity, and
+        // located at H's port, the one the request just left by.
+        Packet &Reply = R.P.Pkt;
+        sim::fillWireHeader(Reply, H, static_cast<HostId>(Src),
+                            sim::KindReply, Seq);
         // The session tag rides the round trip: the reply must route
         // back to the connection that emitted the request.
         Value Conn = Out.getOr(sim::connField(), -1);
         if (Conn >= 0)
-          R.Header.set(sim::connField(), Conn);
+          Reply.set(sim::connField(), Conn);
+        Reply.setLoc(At);
+        R.P.Dense = D;
       }
     }
     return;
@@ -652,15 +676,14 @@ void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
   }
 }
 
-void Engine::handleInject(Shard &S, HostId From, Packet Header) {
-  Location At = Topo.hostLoc(From);
-  uint32_t D = Idx.denseOf(At.Sw);
-  SwitchSlot &Sl = Slots[D];
-
-  EnginePacket P;
-  P.Pkt = std::move(Header);
-  P.Pkt.setLoc(At);
-  P.Dense = D;
+void Engine::handleInject(Shard &S, Msg &M) {
+  // M.P.Pkt already holds the located header and M.P.Dense its ingress
+  // switch (injectBatch, or forwardOut for an echo reply). The rest of
+  // the packet is reset in place, so the slot keeps its capacity.
+  EnginePacket &P = M.P;
+  SwitchSlot &Sl = Slots[P.Dense];
+  P.Digest.clear();
+  P.FromDup = false;
   // IN rule: stamp the ingress switch's current tag. The emission is
   // logged now, at stamping time, so the trace's per-switch order places
   // it against the register state it observed.
@@ -668,8 +691,8 @@ void Engine::handleInject(Shard &S, HostId From, Packet Header) {
   P.Parent = logEntry(S, P.Pkt, -1, false, P.Tag);
   P.IngressLogged = true;
   Injected.add();
-  obsRecord(S, obs::TraceKind::Inject, static_cast<uint32_t>(From),
-            static_cast<uint32_t>(At.Sw));
+  obsRecord(S, obs::TraceKind::Inject, static_cast<uint32_t>(M.From),
+            static_cast<uint32_t>(Sl.Id));
   processPacket(S, P);
 }
 
@@ -683,7 +706,7 @@ void Engine::processMsg(Shard &S, Msg &M) {
     processPacket(S, M.P);
     break;
   case Msg::Inject:
-    handleInject(S, M.From, std::move(M.Header));
+    handleInject(S, M);
     break;
   case Msg::CtrlMerge:
     // A fault-plan storm's full-set CTRLSEND: merge the controller's set
@@ -1078,6 +1101,8 @@ void Engine::start() {
   StartNs.store(monotonicNs());
   StopFlag.store(false);
   InjBufs.resize(C.NumShards);
+  for (MsgBuf &B : InjBufs)
+    B.reserve(C.BatchSize);
 
   CtrlThread = std::thread([this] { controllerLoop(); });
   for (unsigned I = 0; I != C.NumShards; ++I)
@@ -1088,26 +1113,33 @@ void Engine::start() {
 void Engine::injectBatch(const Injection *Inj, size_t N) {
   assert(Started && "injectBatch() before start()");
   // Injections are grouped by the shard owning each host's ingress
-  // switch and handed over with one batch push (and one Pending add) per
-  // shard — the injector never round-robins single messages through the
-  // rings. The group buffers keep their capacity across calls.
-  for (auto &B : InjBufs)
-    B.clear();
+  // switch, and a shard's group is published (one Pending add, then one
+  // batch push) as soon as it holds a worker's batch: the workers start
+  // on the first BatchSize packets instead of after the last one. The
+  // count precedes the push, so Pending covers every visible chunk.
+  auto Publish = [&](uint32_t T) {
+    MsgBuf &B = InjBufs[T];
+    Pending.fetch_add(static_cast<int64_t>(B.size()));
+    pushBatchToShard(T, B.data(), B.size());
+    B.reset();
+  };
   for (size_t I = 0; I != N; ++I) {
     const Injection &In = Inj[I];
-    Location At = Topo.hostLoc(In.From);
-    Msg M;
+    const HostIngress &H = hostIngress(In.From);
+    Msg &M = InjBufs[H.Shard].next();
     M.K = Msg::Inject;
     M.From = In.From;
-    M.Header = In.Header;
-    InjBufs[Slots[Idx.denseOf(At.Sw)].Shard].push_back(std::move(M));
+    // Copy-assigned into the slot's capacity and located here, so the
+    // message has the shape of every other hop (see Msg).
+    M.P.Pkt = In.Header;
+    M.P.Pkt.setLoc(H.At);
+    M.P.Dense = H.Dense;
+    if (InjBufs[H.Shard].size() == C.BatchSize)
+      Publish(H.Shard);
   }
-  for (uint32_t T = 0; T != C.NumShards; ++T) {
-    if (InjBufs[T].empty())
-      continue;
-    Pending.fetch_add(static_cast<int64_t>(InjBufs[T].size()));
-    pushBatchToShard(T, InjBufs[T].data(), InjBufs[T].size());
-  }
+  for (uint32_t T = 0; T != C.NumShards; ++T)
+    if (InjBufs[T].size() != 0)
+      Publish(T);
 }
 
 void Engine::awaitQuiescence() {

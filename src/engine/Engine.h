@@ -61,7 +61,9 @@
 #include "support/BitSet.h"
 #include "topo/Topology.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <deque>
 #include <functional>
@@ -190,17 +192,25 @@ public:
   //
   // An external driver — one thread at a time — can run the engine
   // open-ended instead of handing it a whole Workload: start() spins the
-  // threads up, injectBatch() feeds traffic as it arrives (batched by
-  // ingress shard, one Pending add per shard), awaitQuiescence() blocks
-  // until everything in flight has drained, and finish() joins the
-  // threads and merges results exactly as run() does. start/injectBatch/
-  // awaitQuiescence/finish must all be called from the same thread.
+  // threads up, injectBatch() feeds traffic as it arrives (grouped by
+  // ingress shard and published in BatchSize chunks, one Pending add per
+  // chunk), awaitQuiescence() blocks until everything in flight has
+  // drained, and finish() joins the threads and merges results exactly
+  // as run() does. start/injectBatch/awaitQuiescence/finish must all be
+  // called from the same thread.
 
   /// Spins up the worker and controller threads. Call once.
   void start();
-  /// Hands \p N injections to their ingress shards. Caller must have
-  /// called start(). Never blocks indefinitely (full rings spill to the
-  /// overflow deque under the overload policy).
+  /// Hands \p N injections to their ingress shards. Each shard's group
+  /// is published as soon as it holds EngineConfig::BatchSize messages,
+  /// so the workers start on the first chunk while the driver builds the
+  /// rest. Quiescence still holds: every chunk is counted into Pending
+  /// before it is pushed, and only the single driver calls
+  /// awaitQuiescence(), after injectBatch() has returned. Caller must
+  /// have called start(). Never blocks indefinitely (full rings spill to
+  /// the overflow deque under the overload policy). Allocation-free once
+  /// the recycled slots and ring cells are warm. Every Injection::From
+  /// must be a host of the topology.
   void injectBatch(const Injection *Inj, size_t N);
   /// Blocks until every in-flight message (packets, echo replies,
   /// controller work) has drained.
@@ -351,9 +361,13 @@ private:
   struct Msg {
     enum Kind : uint8_t { PacketIn, Inject, CtrlMerge, CtrlDelta } K =
         PacketIn;
-    EnginePacket P;        // PacketIn
+    /// PacketIn: the hop. Inject: P.Pkt is the header already located at
+    /// the ingress port and P.Dense the ingress switch; the IN rule
+    /// completes the rest in place. Both kinds keep a packet of the same
+    /// shape in P.Pkt, so a recycled slot or ring cell sized by one kind
+    /// never reallocates for the other.
+    EnginePacket P;
     HostId From = 0;       // Inject
-    netkat::Packet Header; // Inject
     /// CtrlMerge: the full set (fault-plan storms only); CtrlDelta: the
     /// causal-fallback context.
     DenseBitSet Merge;
@@ -512,7 +526,8 @@ private:
   void flushOut(Shard &S);
   void prefetchMsg(const Msg &M) const;
   void processMsg(Shard &S, Msg &M);
-  void handleInject(Shard &S, HostId From, netkat::Packet Header);
+  /// The IN rule, completed in \p M's own slot (M.P).
+  void handleInject(Shard &S, Msg &M);
   void processPacket(Shard &S, EnginePacket &P);
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   const netkat::Packet &Out, const DenseBitSet &OutDigest);
@@ -559,6 +574,30 @@ private:
   PartitionResult Part; ///< dense switch -> shard placement + quality
   CompiledNes Compiled;
   std::unique_ptr<SwitchSlot[]> Slots; ///< by dense switch index
+
+  /// Where a host's packets enter the network: its attachment port, that
+  /// switch's dense index and owning shard. Resolved once at
+  /// construction, so injectBatch does no map lookup or SwitchId hash
+  /// per injection, and the IN rule none at all (the message carries
+  /// the dense switch).
+  struct HostIngress {
+    Location At;
+    uint32_t Dense = 0;
+    uint32_t Shard = 0;
+  };
+  /// Indexed by HostId when the ids are dense (every builder numbers
+  /// hosts from a small base); otherwise parallel to SparseHostIds.
+  std::vector<HostIngress> HostTable;
+  std::vector<HostId> SparseHostIds; ///< sorted; empty when dense
+  const HostIngress &hostIngress(HostId H) const {
+    if (SparseHostIds.empty()) {
+      assert(H < HostTable.size() && "unknown host");
+      return HostTable[H];
+    }
+    auto It = std::lower_bound(SparseHostIds.begin(), SparseHostIds.end(), H);
+    assert(It != SparseHostIds.end() && *It == H && "unknown host");
+    return HostTable[static_cast<size_t>(It - SparseHostIds.begin())];
+  }
   std::vector<std::unique_ptr<Shard>> Shards;
 
   // Controller.
@@ -588,9 +627,10 @@ private:
   std::atomic<bool> StopFlag{false};
   std::atomic<int64_t> StartNs{0}; ///< run() start, steady-clock ns
   bool Started = false; ///< start() ran (driver-thread private)
-  /// Injection group buffers, one per shard; keep their capacity across
-  /// injectBatch() calls (driver-thread private).
-  std::vector<std::vector<Msg>> InjBufs;
+  /// Injection chunks, one recycled pool of BatchSize slots per shard
+  /// (driver-thread private): a slot's packet keeps its capacity across
+  /// injectBatch() calls, and ring pushes copy out of it.
+  std::vector<MsgBuf> InjBufs;
 
   // Counters (cache-line padded, relaxed; see Stats.h).
   RelaxedCounter Injected, Delivered, Dropped, Forwarded, Events;

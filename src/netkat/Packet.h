@@ -53,6 +53,9 @@ public:
   /// Removes field \p F if present.
   void erase(FieldId F);
 
+  /// Removes every field, keeping the storage for reuse.
+  void clear() { Fields.clear(); }
+
   /// Location accessors (reserved sw/pt fields).
   SwitchId sw() const { return static_cast<SwitchId>(get(FieldSw)); }
   PortId pt() const { return static_cast<PortId>(get(FieldPt)); }

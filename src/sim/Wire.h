@@ -50,6 +50,11 @@ FieldId connField();
 netkat::Packet makeWireHeader(HostId From, HostId To, Value Kind,
                               uint64_t Seq);
 
+/// Overwrites \p H with the header makeWireHeader would build, keeping
+/// \p H's storage: a recycled packet slot is refilled without allocating.
+void fillWireHeader(netkat::Packet &H, HostId From, HostId To, Value Kind,
+                    uint64_t Seq);
+
 //===----------------------------------------------------------------------===//
 // Byte-order helpers (explicit little-endian, alignment-free)
 //===----------------------------------------------------------------------===//

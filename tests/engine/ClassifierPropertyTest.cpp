@@ -15,7 +15,10 @@
 //    replacement global operator new);
 //  - zero freelist growth: a full engine run never grows its recycled
 //    egress/output pools — they are pre-sized from
-//    EngineConfig::BatchSize at construction.
+//    EngineConfig::BatchSize at construction;
+//  - zero-allocation injection: once every recycled slot and ring cell
+//    has held a message, steady injectBatch + awaitQuiescence rounds
+//    (echo replies included) perform no heap allocations at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +30,7 @@
 #include "nes/Pipeline.h"
 #include "runtime/Guarded.h"
 #include "support/Rng.h"
+#include "topo/Builders.h"
 
 #include <gtest/gtest.h>
 
@@ -308,6 +312,79 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
     ASSERT_GT(S.PacketsDelivered, 0u);
     for (const engine::ShardStats &SS : S.Shards)
       EXPECT_EQ(SS.FreelistGrowth, 0u) << "shards=" << Shards;
+  }
+}
+
+TEST(ClassifierProperty, WarmInjectionAllocatesNothing) {
+  // The whole injection path recycles capacity: the driver's per-shard
+  // chunks, the ring cells, the dequeue batch, the IN rule (completed in
+  // the dequeued slot), the egress buffers and the echo replies (built
+  // in place). Injections and hops carry the same packet shape, so once
+  // the warm-up has put a message in every recycled slot and ring cell,
+  // a steady inject-and-quiesce round allocates nothing.
+  topo::Topology Fat = topo::fatTreeTopology(4);
+  nes::Nes FatN = apps::staticRoutingNes(Fat);
+  apps::App Ring = apps::ringApp(8, 4);
+  api::Result<nes::CompiledProgram> RingC =
+      nes::compileAst(Ring.Ast, Ring.Topo);
+  ASSERT_TRUE(RingC.ok()) << RingC.status().str();
+
+  struct Net {
+    const char *Name;
+    const nes::Nes &N;
+    const topo::Topology &Topo;
+  };
+  for (const Net &Nw : {Net{"fattree4", FatN, Fat},
+                        Net{"ring8", *RingC->N, Ring.Topo}}) {
+    // The heavy warm-up rounds keep every dequeue batch full, so every
+    // egress and batch slot holds a packet at least once, whatever the
+    // timing of the measured rounds. Measured rounds vary in size, so
+    // successive rounds start at shifting ring offsets. A ring holds a
+    // whole measured round (an injection plus at most four cross-shard
+    // hops each way per ping), so they never spill to the overflow
+    // deque.
+    engine::TrafficGen G(Nw.Topo, 11);
+    engine::Workload Heavy = G.pings(4, 128);
+    engine::Workload W = G.pings(3, 16);
+    W += G.pings(1, 13);
+    W += G.pings(1, 7);
+    for (unsigned Shards : {1u, 2u})
+      for (bool Echo : {false, true}) {
+        engine::EngineConfig Cfg;
+        Cfg.NumShards = Shards;
+        Cfg.QueueCapacity = 256;
+        Cfg.BatchSize = 4; // chunks publish mid-batch, not only at the end
+        Cfg.RecordTrace = false;
+        Cfg.EchoReplies = Echo;
+        engine::Engine E(Nw.N, Nw.Topo, Cfg);
+        E.start();
+        uint64_t Requests = 0;
+        auto Rounds = [&](const engine::Workload &Of, unsigned K) {
+          for (unsigned I = 0; I != K; ++I) {
+            const engine::Phase &Ph = Of.Phases[I % Of.Phases.size()];
+            E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
+            E.awaitQuiescence();
+            Requests += Ph.Injections.size();
+          }
+        };
+        Rounds(Heavy, 20);
+        Rounds(W, 50);
+        uint64_t Before = GAllocs.load(std::memory_order_relaxed);
+        Rounds(W, 50);
+        uint64_t After = GAllocs.load(std::memory_order_relaxed);
+        E.finish();
+
+        engine::Stats S = E.stats();
+        EXPECT_EQ(After - Before, 0u)
+            << Nw.Name << " shards=" << Shards << " echo=" << Echo
+            << ": warm injection rounds allocated";
+        // Every request is delivered, and with echo on so is its reply
+        // (replies count as injections).
+        EXPECT_EQ(S.PacketsInjected, Echo ? 2 * Requests : Requests)
+            << Nw.Name << " shards=" << Shards << " echo=" << Echo;
+        EXPECT_EQ(S.PacketsDelivered, S.PacketsInjected)
+            << Nw.Name << " shards=" << Shards << " echo=" << Echo;
+      }
   }
 }
 
