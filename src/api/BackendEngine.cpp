@@ -63,24 +63,22 @@ public:
       Sampler->start();
     }
 
-    if (Col) {
-      // Closed loop with the collector: drive the workload phase by phase
-      // and let the checker catch up after each one. run() would inject
-      // every phase back to back and outrun it; the shards would then
-      // shed stream items at StreamBufCap and the verdict would end
-      // inconclusive. Waiting until at most half the cap is buffered
-      // leaves a phase of headroom in every shard's hand-off.
-      E.start();
-      for (const engine::Phase &Ph : W.Phases) {
-        E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
-        E.awaitQuiescence();
+    // Phase by phase, as Engine::run does. With a streaming collector the
+    // loop is closed: after each phase it waits until the shards' summed
+    // hand-off holds at most half of StreamBufCap, so the checker catches
+    // up instead of the shards shedding stream items and the verdict
+    // ending inconclusive. That keeps every shard under its cap as long
+    // as one phase's traced hops per shard stay under StreamBufCap / 2;
+    // larger phases can still shed.
+    E.start();
+    for (const engine::Phase &Ph : W.Phases) {
+      E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
+      E.awaitQuiescence();
+      if (Col)
         while (E.streamBacklog() > Cfg->StreamBufCap / 2)
           std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      E.finish();
-    } else {
-      E.run(W);
     }
+    E.finish();
     if (Sampler)
       Sampler->stop(); // emits one final post-run sample
 

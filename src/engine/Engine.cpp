@@ -91,7 +91,10 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
 
   // Per-host ingress table. Direct indexing by HostId unless the ids are
   // too sparse for that to stay O(hosts); then a sorted id list maps each
-  // host to its row.
+  // host to its row. The bound only caps the table's size (at most 4
+  // rows per host plus 1024). Direct indexing is kept because a binary
+  // search's mispredicted compares on random host ids cost the driver
+  // 40-75 ns per injection (DESIGN.md, "Injection path").
   const std::map<HostId, Location> &Hosts = Topo.hosts();
   HostId MaxHost = Hosts.empty() ? 0 : Hosts.rbegin()->first;
   bool Dense = MaxHost <= 4 * Hosts.size() + 1024;
