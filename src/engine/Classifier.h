@@ -43,6 +43,7 @@
 #include "netkat/Packet.h"
 #include "support/Ids.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -123,6 +124,37 @@ private:
   std::vector<T> Slots;
   size_t Used = 0;
   uint64_t Grown = 0;
+};
+
+/// A FIFO over recycled slots, the queue form of RecyclePool: push()
+/// hands out the next free slot with its heap capacity intact, pop()
+/// keeps the slot's capacity for a later push(), and the ring only grows
+/// (doubling, order kept) when every slot is occupied. The engine holds
+/// delay-faulted hops in one.
+template <typename T> class RecycleFifo {
+public:
+  bool empty() const { return Size == 0; }
+  T &front() { return Slots[Head]; }
+  /// Retires the front slot (its contents stay, to be overwritten).
+  void pop() {
+    Head = (Head + 1) % Slots.size();
+    --Size;
+  }
+  /// The slot behind the back. The reference is invalidated by the next
+  /// push() (which may grow the ring).
+  T &push() {
+    if (Size == Slots.size()) {
+      std::rotate(Slots.begin(), Slots.begin() + Head, Slots.end());
+      Head = 0;
+      Slots.resize(std::max<size_t>(4, 2 * Slots.size()));
+    }
+    return Slots[(Head + Size++) % Slots.size()];
+  }
+
+private:
+  std::vector<T> Slots;
+  size_t Head = 0;
+  size_t Size = 0;
 };
 
 /// Recycled classifier output packets: emission copy-assigns into slots

@@ -320,7 +320,7 @@ void Engine::applyRegister(Shard &S, SwitchSlot &Sl, const DenseBitSet &NewE) {
   const SwitchView *Old = Sl.Published.load();
   Sl.Published.store(new SwitchView{Sl.Tag, Sl.E, Old->Version + 1});
   S.Retired.retire(Old, Epochs.retireEpoch());
-  S.Transitions.add();
+  S.Own.Transitions.add();
   obsRecord(S, obs::TraceKind::ConfigSwap, static_cast<uint32_t>(Sl.Id),
             static_cast<uint32_t>(Old->Version + 1));
 }
@@ -358,17 +358,14 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
   // checker sees nothing to excuse.
   Pending.fetch_sub(1);
   Dst.Shed.add();
-  Dst.Dropped.add();
-  Dropped.add();
-  FaultSheds.add();
   if (M.K == Msg::PacketIn) {
     if (M.P.FromDup)
-      DupDropped.add();
+      Dst.ShedDups.add();
     // The hop's egress entry is now a chain leaf; excuse it.
     if (M.P.Parent >= 0)
       Dst.ShedTickets.push_back(M.P.Parent);
   } else if (M.K == Msg::Inject) {
-    Injected.add();
+    Dst.ShedInjects.add();
   }
   obsRecord(Dst, obs::TraceKind::Shed, Dst.Index,
             static_cast<uint32_t>(M.K));
@@ -401,7 +398,7 @@ void Engine::overflowMsg(Shard &Dst, Msg &&M) {
 }
 
 void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
-                        const Packet &Out, const DenseBitSet &OutDigest) {
+                        Packet &Out, const DenseBitSet &OutDigest) {
   // A table's actions rewrite pt (and header fields), never sw, so the
   // output sits at the switch we just processed — whose dense index the
   // caller already knows. Fall back to the hash only if a table ever
@@ -412,10 +409,9 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
   if (!Eg) {
     // Dangling port: discarded, no occurrence logged (as in the
     // simulator).
-    Dropped.add();
-    S.Dropped.add();
+    S.Own.Dropped.add();
     if (P.FromDup)
-      DupDropped.add();
+      S.Own.DupDropped.add();
     obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(At.Sw),
               /*reason: dangling port*/ 1);
     return;
@@ -423,9 +419,9 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
 
   if (Eg->IsHost) {
     logEntry(S, Out, P.Parent, /*IsDelivery=*/true, P.Tag);
-    Delivered.add();
+    S.Own.Delivered.add();
     if (P.FromDup)
-      DupDelivered.add();
+      S.Own.DupDelivered.add();
     HostId H = Eg->Host;
     if (C.DeliverySink)
       C.DeliverySink(H, Out);
@@ -474,11 +470,10 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
         faults::Injector::recordAt(faults::FaultKind::Drop, At.Sw, At.Pt, Out));
     if (P.Parent >= 0)
       S.Log.push_back(excuseItem(static_cast<uint64_t>(P.Parent)));
-    Dropped.add();
-    S.Dropped.add();
-    FaultDrops.add();
+    S.Own.Dropped.add();
+    S.Own.FaultDrops.add();
     if (P.FromDup)
-      DupDropped.add();
+      S.Own.DupDropped.add();
     obsRecord(S, obs::TraceKind::FaultDrop, static_cast<uint32_t>(At.Sw),
               At.Pt);
     return;
@@ -486,9 +481,9 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
 
   int64_t EgressTicket = logEntry(S, Out, P.Parent, false, P.Tag);
   uint32_t DstShard = Slots[Eg->DstDense].Shard;
+  // Completes a hop whose M.P.Pkt already holds the output packet.
   auto FillHop = [&](Msg &M, int64_t ParentTicket, bool FromDup) {
     M.K = Msg::PacketIn;
-    M.P.Pkt = Out;
     M.P.Pkt.setLoc(Eg->Dst);
     M.P.Tag = P.Tag;
     M.P.Digest = OutDigest;
@@ -502,26 +497,35 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     // Hold the hop back for DelayPolls drain iterations instead of
     // buffering it: later traffic overtakes it (reordering). Its
     // Pending share is taken here because flushOut will never see it.
-    Shard::DelayedMsg DM;
+    Shard::DelayedMsg &DM = S.Delayed.push();
     DM.Target = DstShard;
     DM.ReleaseAt =
         S.DrainPolls + std::max(1u, C.Faults->plan().DelayPolls);
+    DM.M.P.Pkt = Out; // copied: the ledger record below reads Out
     FillHop(DM.M, EgressTicket, P.FromDup);
     Pending.fetch_add(1);
-    S.Delayed.push_back(std::move(DM));
     S.FaultRecs.push_back(faults::Injector::recordAt(faults::FaultKind::Delay,
                                                      At.Sw, At.Pt, Out));
-    FaultDelays.add();
-    Forwarded.add();
+    S.Own.FaultDelays.add();
+    S.Own.Forwarded.add();
     obsRecord(S, obs::TraceKind::FaultDelay, static_cast<uint32_t>(At.Sw),
               At.Pt);
     return;
   }
 
-  // Build the hop into a recycled egress slot (copy-assignments reuse
-  // the slot's heap capacity; nothing here allocates once warm).
-  FillHop(S.OutBufs[DstShard].next(), EgressTicket, P.FromDup);
-  Forwarded.add();
+  // Build the hop into a recycled egress slot. A plain hop swaps the
+  // classifier output in: ClsOut and OutBufs are both this worker's own
+  // pools, so the exchange trades heap buffers between them and copies
+  // nothing here (a cross-shard hop is still copied into and out of its
+  // ring cell). A duplicated hop copies, because the second copy below
+  // reads Out again. Either way nothing allocates once warm.
+  Msg &Hop = S.OutBufs[DstShard].next();
+  if (FA == faults::Action::Dup)
+    Hop.P.Pkt = Out;
+  else
+    std::swap(Hop.P.Pkt, Out);
+  FillHop(Hop, EgressTicket, P.FromDup);
+  S.Own.Forwarded.add();
 
   if (FA == faults::Action::Dup) {
     // Second copy with its own egress entry (the trace stays a tree);
@@ -530,11 +534,13 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     int64_t DupTicket = logEntry(S, Out, P.Parent, false, P.Tag);
     if (DupTicket >= 0)
       S.Log.back().IsDup = true; // the entry just logged
-    FillHop(S.OutBufs[DstShard].next(), DupTicket, /*FromDup=*/true);
+    Msg &Dup = S.OutBufs[DstShard].next();
+    Dup.P.Pkt = Out;
+    FillHop(Dup, DupTicket, /*FromDup=*/true);
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
-    FaultDups.add();
-    Forwarded.add();
+    S.Own.FaultDups.add();
+    S.Own.Forwarded.add();
     obsRecord(S, obs::TraceKind::FaultDup, static_cast<uint32_t>(At.Sw),
               At.Pt);
   }
@@ -627,16 +633,15 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   }
   const DenseBitSet &OutDigest = *OutDigestP;
 
-  S.Processed.add();
+  S.Own.Processed.add();
   // One contiguous classifier program, outputs emitted into the shard's
   // recycled packet buffer — allocation-free once warm.
   S.ClsOut.reset();
   Pipe.applyClassifier(P.Pkt, S.ClsOut);
   if (S.ClsOut.size() == 0) {
-    Dropped.add();
-    S.Dropped.add();
+    S.Own.Dropped.add();
     if (P.FromDup)
-      DupDropped.add();
+      S.Own.DupDropped.add();
     obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(Sl.Id),
               /*reason: table miss / drop rule*/ 0);
     return;
@@ -675,7 +680,7 @@ void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
     if (Slots[D].E.test(E))
       continue;
     mergeEventInto(S, D, E, Ctx);
-    S.FastLearns.add();
+    S.Own.FastLearns.add();
   }
 }
 
@@ -693,7 +698,7 @@ void Engine::handleInject(Shard &S, Msg &M) {
   P.Tag = Sl.Tag;
   P.Parent = logEntry(S, P.Pkt, -1, false, P.Tag);
   P.IngressLogged = true;
-  Injected.add();
+  S.Own.Injected.add();
   obsRecord(S, obs::TraceKind::Inject, static_cast<uint32_t>(M.From),
             static_cast<uint32_t>(Sl.Id));
   processPacket(S, P);
@@ -839,20 +844,22 @@ void Engine::drainSelf(Shard &S) {
 void Engine::releaseDelayed(Shard &S) {
   // DelayPolls is one constant per plan, so the stash is ordered by
   // ReleaseAt and the due prefix sits at the front. Releases can stash
-  // new delayed hops (push_back with a strictly later deadline), which
-  // the loop condition leaves alone.
+  // new delayed hops (push with a strictly later deadline), which the
+  // loop condition leaves alone. The due hop is swapped out of its slot
+  // first, because such a push may grow the stash under it.
   while (!S.Delayed.empty() && S.Delayed.front().ReleaseAt <= S.DrainPolls) {
-    Shard::DelayedMsg DM = std::move(S.Delayed.front());
-    S.Delayed.pop_front();
-    if (DM.Target != S.Index) {
+    uint32_t Target = S.Delayed.front().Target;
+    std::swap(S.Released, S.Delayed.front().M);
+    S.Delayed.pop();
+    if (Target != S.Index) {
       // Pending was counted at stash time; hand the message over.
-      pushBatchToShard(DM.Target, &DM.M, 1);
+      pushBatchToShard(Target, &S.Released, 1);
       continue;
     }
     // A held intra-shard hop: process in place. Outputs are counted
     // into Pending (flushOut) before this message's own share retires,
     // preserving the quiescence invariant.
-    processMsg(S, DM.M);
+    processMsg(S, S.Released);
     drainSelf(S);
     flushOut(S);
     Pending.fetch_sub(1);
@@ -942,8 +949,7 @@ size_t Engine::drainBatch(Shard &S) {
   if (S.StallEvery && ++S.NonEmptyBatches % S.StallEvery == 0) {
     // Fault-plan stall: the worker goes dark for StallUs while its ring
     // keeps filling — backpressure for the overload policy to absorb.
-    S.Stalls.add();
-    FaultStalls.add();
+    S.Own.Stalls.add();
     obsRecord(S, obs::TraceKind::FaultStall, S.Index, S.StallUs);
     std::this_thread::sleep_for(std::chrono::microseconds(S.StallUs));
   }
@@ -1018,7 +1024,7 @@ void Engine::workerLoop(unsigned ShardIdx) {
       continue;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
-    S.IdleSleeps.add();
+    S.Own.IdleSleeps.add();
     SleepUs = std::min(SleepUs * 2, IdleSleepCapUs);
   }
   if (C.StreamTrace) {
@@ -1270,29 +1276,9 @@ void Engine::mergeResults() {
   // Final stats, including the transition-latency aggregates.
   FinalStats = Stats();
   FinalStats.ElapsedSec = ElapsedSec;
-  FinalStats.PacketsInjected = Injected.get();
-  FinalStats.PacketsDelivered = Delivered.get();
-  FinalStats.PacketsDropped = Dropped.get();
-  FinalStats.PacketsForwarded = Forwarded.get();
-  FinalStats.EventsDetected = Events.get();
-  FinalStats.CtrlDeltas = CtrlDeltas.get();
-  FinalStats.BatchSize = C.BatchSize;
   fillPartitionStats(FinalStats);
   fillObsStats(FinalStats);
-  fillFaultStats(FinalStats);
-  for (auto &S : Shards) {
-    ShardStats SS = baseShardStats(*S);
-    SS.QueueDepth = 0;
-    SS.FreelistGrowth = freelistGrowth(*S);
-    FinalStats.PacketsProcessed += SS.PacketsProcessed;
-    FinalStats.ConfigTransitions += SS.Transitions;
-    FinalStats.FastPathLearns += SS.FastLearns;
-    FinalStats.Shards.push_back(SS);
-  }
-  if (ElapsedSec > 0) {
-    FinalStats.PacketsPerSec = FinalStats.PacketsProcessed / ElapsedSec;
-    FinalStats.DeliveredPerSec = FinalStats.PacketsDelivered / ElapsedSec;
-  }
+  fillCounterStats(FinalStats, /*Joined=*/true);
   // Update latency (detection -> each register learn) through an obs
   // histogram, so the digest carries percentiles, not just mean/max.
   // Post-run cost only: the samples are by-products of the protocol,
@@ -1315,32 +1301,9 @@ Stats Engine::stats() const {
     return FinalStats;
   Stats S;
   S.ElapsedSec = nowSec();
-  S.PacketsInjected = Injected.get();
-  S.PacketsDelivered = Delivered.get();
-  S.PacketsDropped = Dropped.get();
-  S.PacketsForwarded = Forwarded.get();
-  S.EventsDetected = Events.get();
-  S.CtrlDeltas = CtrlDeltas.get();
-  S.BatchSize = C.BatchSize;
   fillPartitionStats(S);
   fillObsStats(S);
-  fillFaultStats(S);
-  for (const auto &Sh : Shards) {
-    ShardStats SS = baseShardStats(*Sh);
-    SS.QueueDepth = Sh->Q->sizeApprox();
-    {
-      std::lock_guard<std::mutex> Lock(Sh->OverflowMu);
-      SS.QueueDepth += Sh->Overflow.size();
-    }
-    S.PacketsProcessed += SS.PacketsProcessed;
-    S.ConfigTransitions += SS.Transitions;
-    S.FastPathLearns += SS.FastLearns;
-    S.Shards.push_back(SS);
-  }
-  if (S.ElapsedSec > 0) {
-    S.PacketsPerSec = S.PacketsProcessed / S.ElapsedSec;
-    S.DeliveredPerSec = S.PacketsDelivered / S.ElapsedSec;
-  }
+  fillCounterStats(S, /*Joined=*/false);
   return S;
 }
 
@@ -1352,15 +1315,56 @@ void Engine::fillPartitionStats(Stats &S) const {
   S.Partition.MinShardLoad = Part.MinShardLoad;
 }
 
-void Engine::fillFaultStats(Stats &S) const {
-  S.FaultDrops = FaultDrops.get();
-  S.FaultDups = FaultDups.get();
-  S.FaultDelays = FaultDelays.get();
-  S.FaultSheds = FaultSheds.get();
-  S.FaultStalls = FaultStalls.get();
+void Engine::fillCounterStats(Stats &S, bool Joined) const {
+  S.EventsDetected = Events.get();
+  S.CtrlDeltas = CtrlDeltas.get();
   S.FaultStorms = FaultStorms.get();
-  S.DupDelivered = DupDelivered.get();
-  S.DupDropped = DupDropped.get();
+  S.BatchSize = C.BatchSize;
+  for (const auto &Sh : Shards) {
+    const Shard::OwnerTallies &T = Sh->Own;
+    uint64_t Shed = Sh->Shed.get();
+    ShardStats SS;
+    SS.PacketsProcessed = T.Processed.get();
+    SS.QueueHighWater = Sh->QueueHighWater.get();
+    SS.Dropped = T.Dropped.get() + Shed;
+    SS.Transitions = T.Transitions.get();
+    SS.Switches = Part.ShardSwitches[Sh->Index];
+    SS.IdleSleeps = T.IdleSleeps.get();
+    SS.Shed = Shed;
+    SS.Stalls = T.Stalls.get();
+    SS.FastLearns = T.FastLearns.get();
+    if (Sh->ObsRing) {
+      SS.TraceRecorded = Sh->ObsRing->recordedCount();
+      SS.TraceDropped = Sh->ObsRing->droppedCount();
+    }
+    if (Joined) {
+      SS.FreelistGrowth = freelistGrowth(*Sh);
+    } else {
+      SS.QueueDepth = Sh->Q->sizeApprox();
+      std::lock_guard<std::mutex> Lock(Sh->OverflowMu);
+      SS.QueueDepth += Sh->Overflow.size();
+    }
+    S.Shards.push_back(SS);
+
+    S.PacketsInjected += T.Injected.get() + Sh->ShedInjects.get();
+    S.PacketsProcessed += SS.PacketsProcessed;
+    S.PacketsDelivered += T.Delivered.get();
+    S.PacketsDropped += SS.Dropped;
+    S.PacketsForwarded += T.Forwarded.get();
+    S.ConfigTransitions += SS.Transitions;
+    S.FastPathLearns += SS.FastLearns;
+    S.FaultDrops += T.FaultDrops.get();
+    S.FaultDups += T.FaultDups.get();
+    S.FaultDelays += T.FaultDelays.get();
+    S.FaultSheds += Shed;
+    S.FaultStalls += SS.Stalls;
+    S.DupDelivered += T.DupDelivered.get();
+    S.DupDropped += T.DupDropped.get() + Sh->ShedDups.get();
+  }
+  if (S.ElapsedSec > 0) {
+    S.PacketsPerSec = S.PacketsProcessed / S.ElapsedSec;
+    S.DeliveredPerSec = S.PacketsDelivered / S.ElapsedSec;
+  }
 }
 
 void Engine::fillObsStats(Stats &S) const {
@@ -1380,24 +1384,6 @@ void Engine::fillObsStats(Stats &S) const {
   }
   S.QueueDwell = digestFrom(Dwell, 1e-9);
   S.BatchOccupancy = digestFrom(Occupancy, 1.0);
-}
-
-ShardStats Engine::baseShardStats(const Shard &Sh) const {
-  ShardStats SS;
-  SS.PacketsProcessed = Sh.Processed.get();
-  SS.QueueHighWater = Sh.QueueHighWater.get();
-  SS.Dropped = Sh.Dropped.get();
-  SS.Transitions = Sh.Transitions.get();
-  SS.Switches = Part.ShardSwitches[Sh.Index];
-  SS.IdleSleeps = Sh.IdleSleeps.get();
-  SS.Shed = Sh.Shed.get();
-  SS.Stalls = Sh.Stalls.get();
-  SS.FastLearns = Sh.FastLearns.get();
-  if (Sh.ObsRing) {
-    SS.TraceRecorded = Sh.ObsRing->recordedCount();
-    SS.TraceDropped = Sh.ObsRing->droppedCount();
-  }
-  return SS;
 }
 
 Engine::ViewSnapshot Engine::readView(SwitchId Sw) const {

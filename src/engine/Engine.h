@@ -436,14 +436,33 @@ private:
     /// and CtrlDelta merges); separate from the SWITCH-rule scratch so a
     /// mid-detection fan-out cannot clobber the Known/Fresh sets.
     DenseBitSet ScratchFan;
-    RelaxedCounter Processed;
-    RelaxedCounter Transitions;
-    RelaxedCounter Dropped;
+    /// Tallies only this shard's worker writes: single-writer bumps (a
+    /// relaxed load and store, no locked add), summed over shards by
+    /// stats() and mergeResults(). An engine-global counter would move
+    /// one cache line between cores on every worker's every hop. One
+    /// aligned block, so no member that other threads write shares its
+    /// lines.
+    struct alignas(64) OwnerTallies {
+      OwnerCounter Injected;  ///< IN-rule stamps (incl. echo replies)
+      OwnerCounter Processed; ///< switch hops executed
+      OwnerCounter Delivered; ///< packets handed to a host
+      OwnerCounter Forwarded; ///< link traversals (incl. delayed and dups)
+      /// Table misses, dangling ports and fault-plan drops (not sheds).
+      OwnerCounter Dropped;
+      OwnerCounter DupDelivered, DupDropped; ///< outcomes of duplicates
+      OwnerCounter FaultDrops, FaultDups, FaultDelays;
+      OwnerCounter Transitions; ///< published register/view swaps
+      OwnerCounter IdleSleeps;
+      OwnerCounter Stalls;     ///< fault-plan stalls taken by this worker
+      OwnerCounter FastLearns; ///< registers advanced by the local fast path
+    } Own;
+    /// Written by the owner and by producers spilling into Overflow.
     RelaxedCounter QueueHighWater;
-    RelaxedCounter IdleSleeps;
-    RelaxedCounter Shed;   ///< messages shed here by the overload policy
-    RelaxedCounter Stalls; ///< fault-plan stalls taken by this worker
-    RelaxedCounter FastLearns; ///< registers advanced by the local fast path
+    /// Overload-policy tallies, bumped by whichever producer shed a
+    /// message bound here (shedLocked, under OverflowMu). Every shed is
+    /// also a drop; a shed injection is also an injection, a shed
+    /// duplicate also a duplicate's drop.
+    RelaxedCounter Shed, ShedInjects, ShedDups;
 
     /// Fault-injection state; only touched when a plan is active.
     /// Owner-thread unless noted.
@@ -452,7 +471,9 @@ private:
       uint64_t ReleaseAt = 0; ///< DrainPolls threshold for release
       Msg M;
     };
-    std::deque<DelayedMsg> Delayed;        ///< held hops (delay faults)
+    /// Held hops (delay faults), oldest first, in recycled slots.
+    RecycleFifo<DelayedMsg> Delayed;
+    Msg Released; ///< a due hop, swapped out of its Delayed slot
     uint64_t DrainPolls = 0;               ///< drainBatch calls, incl. empty
     uint64_t NonEmptyBatches = 0;          ///< stall cadence counter
     uint64_t StallEvery = 0;               ///< resolved stall rule; 0 = none
@@ -529,8 +550,11 @@ private:
   /// The IN rule, completed in \p M's own slot (M.P).
   void handleInject(Shard &S, Msg &M);
   void processPacket(Shard &S, EnginePacket &P);
+  /// Sends classifier output \p Out on. A plain hop takes \p Out's
+  /// buffer (swapped into the egress slot), so \p Out is unspecified
+  /// afterwards.
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
-                  const netkat::Packet &Out, const DenseBitSet &OutDigest);
+                  netkat::Packet &Out, const DenseBitSet &OutDigest);
   void applyRegister(Shard &S, SwitchSlot &Sl, const DenseBitSet &NewE);
   void sendToShard(uint32_t Target, Msg &&M);
   /// Pushes \p N already-Pending-counted messages into \p Target's ring
@@ -547,15 +571,16 @@ private:
   int64_t logEntry(Shard &S, const netkat::Packet &Lp, int64_t Parent,
                    bool IsDelivery, nes::SetId Tag);
   void mergeResults();
-  /// The partition summary and per-shard counters shared by stats() and
-  /// mergeResults() (one source of truth for both report shapes).
+  /// The partition summary shared by stats() and mergeResults().
   void fillPartitionStats(Stats &S) const;
-  /// Fault-injection counter totals (relaxed reads; live-safe).
-  void fillFaultStats(Stats &S) const;
+  /// Every counter total and the per-shard rows, summed over the shards'
+  /// tallies (relaxed reads; live-safe). Shared by stats() and
+  /// mergeResults(), so both report shapes have one source of truth;
+  /// \p Joined selects the post-join fields (freelist growth, no queue).
+  void fillCounterStats(Stats &S, bool Joined) const;
   /// Latency-histogram digests and trace-ring totals (lock-free; exact
   /// after join, racy-but-consistent during run for the sampler).
   void fillObsStats(Stats &S) const;
-  ShardStats baseShardStats(const Shard &Sh) const;
   static int64_t monotonicNs() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -632,16 +657,16 @@ private:
   /// injectBatch() calls, and ring pushes copy out of it.
   std::vector<MsgBuf> InjBufs;
 
-  // Counters (cache-line padded, relaxed; see Stats.h).
-  RelaxedCounter Injected, Delivered, Dropped, Forwarded, Events;
+  // Controller-thread counters (see Stats.h). The data-plane counters
+  // live in each Shard.
+  RelaxedCounter Events;
   RelaxedCounter CtrlDeltas; ///< delta messages routed by the controller
+  RelaxedCounter FaultStorms; ///< storm re-broadcasts sent
 
   // Fault injection. FaultArmed is per dense switch, read-only after
   // construction; StormRecs is controller-thread private until join.
   std::vector<bool> FaultArmed;
   std::vector<faults::FaultRecord> StormRecs;
-  RelaxedCounter FaultDrops, FaultDups, FaultDelays, FaultSheds,
-      FaultStalls, FaultStorms, DupDelivered, DupDropped;
   faults::FaultLedger Ledger; ///< assembled by mergeResults()
   std::vector<std::unique_ptr<std::atomic<int64_t>>> DetectNs; ///< per event
   double ElapsedSec = 0;

@@ -14,10 +14,24 @@
 /// 16(b) discovery-time measurement), per-hop queue dwell, and hot-loop
 /// batch occupancy, each surfaced as p50/p90/p99/max.
 ///
-/// RelaxedCounter is the live-counter type behind the snapshot: each
-/// counter owns a full cache line so shards bumping different counters
-/// never bounce the same line, and every access is a relaxed atomic —
-/// the counters carry no synchronization, only tallies.
+/// Two live-counter types sit behind the snapshot, chosen by who writes:
+///
+///  - OwnerCounter: a tally only one thread ever writes (a shard's hop
+///    counters, bumped by its worker). The bump is a relaxed load plus a
+///    relaxed store, with no locked read-modify-write; readers sum the
+///    shards' copies when they take a snapshot.
+///  - RelaxedCounter: a tally several threads may write (producers
+///    shedding into a shard's overflow, queue high-water marks), or one
+///    off the hop path (the controller's event totals). It owns a full
+///    cache line, so writers of *different* counters never bounce one
+///    line (false sharing).
+///
+/// Padding cures false sharing only. A counter that every worker bumps
+/// on every hop is truly shared: its line moves between cores on each
+/// add, padded or not. So the hop path keeps no engine-global counter at
+/// all; each shard counts its own hops and stats() adds them up. Neither
+/// type synchronizes anything: a live read is racy but each counter is
+/// individually consistent and never goes backwards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +49,22 @@ namespace engine {
 /// snapshot can carry the enum without pulling the partitioner in.
 enum class PartitionStrategy : uint8_t;
 
+/// A monotone tally with exactly one writing thread. add() is a relaxed
+/// load and store (a plain add on x86, no lock prefix); get() may run on
+/// any thread. Unpadded: an owner groups its counters in one aligned
+/// block instead (Engine::Shard::Own).
+struct OwnerCounter {
+  std::atomic<uint64_t> V{0};
+
+  void add(uint64_t N = 1) {
+    V.store(V.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
+  }
+  uint64_t get() const { return V.load(std::memory_order_relaxed); }
+};
+
 /// A monotone event counter padded to a cache line, accessed with
 /// relaxed atomics only (it synchronizes nothing; readers get a racy but
-/// individually-consistent tally).
+/// individually-consistent tally). For counters with several writers.
 struct alignas(64) RelaxedCounter {
   std::atomic<uint64_t> V{0};
 

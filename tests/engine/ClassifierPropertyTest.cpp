@@ -26,6 +26,7 @@
 
 #include "apps/Programs.h"
 #include "engine/Engine.h"
+#include "faults/Injector.h"
 #include "flowtable/FlowTable.h"
 #include "nes/Pipeline.h"
 #include "runtime/Guarded.h"
@@ -318,10 +319,12 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
 TEST(ClassifierProperty, WarmInjectionAllocatesNothing) {
   // The whole injection path recycles capacity: the driver's per-shard
   // chunks, the ring cells, the dequeue batch, the IN rule (completed in
-  // the dequeued slot), the egress buffers and the echo replies (built
-  // in place). Injections and hops carry the same packet shape, so once
-  // the warm-up has put a message in every recycled slot and ring cell,
-  // a steady inject-and-quiesce round allocates nothing.
+  // the dequeued slot), the egress buffers (a plain hop swaps the
+  // classifier output into its slot; a duplicated or delayed hop copies
+  // it) and the echo replies (built in place). Injections and hops carry
+  // the same packet shape, so once the warm-up has put a message in
+  // every recycled slot and ring cell, a steady inject-and-quiesce round
+  // allocates nothing.
   topo::Topology Fat = topo::fatTreeTopology(4);
   nes::Nes FatN = apps::staticRoutingNes(Fat);
   apps::App Ring = apps::ringApp(8, 4);
@@ -329,62 +332,98 @@ TEST(ClassifierProperty, WarmInjectionAllocatesNothing) {
       nes::compileAst(Ring.Ast, Ring.Topo);
   ASSERT_TRUE(RingC.ok()) << RingC.status().str();
 
-  struct Net {
+  // Duplicates and delays on every link: their hops take the copy path.
+  faults::FaultPlan Plan;
+  Plan.Seed = 3;
+  Plan.Links.push_back({-1, -1, /*DropP=*/0.0, /*DupP=*/0.1,
+                        /*DelayP=*/0.1, 0, -1});
+  faults::Injector DupDelay(Plan);
+
+  struct Config {
     const char *Name;
     const nes::Nes &N;
     const topo::Topology &Topo;
+    unsigned Shards;
+    bool Echo;
+    PartitionStrategy Partition = PartitionStrategy::Refined;
+    const faults::Injector *Faults = nullptr;
   };
-  for (const Net &Nw : {Net{"fattree4", FatN, Fat},
-                        Net{"ring8", *RingC->N, Ring.Topo}}) {
+  std::vector<Config> Configs;
+  for (unsigned Shards : {1u, 2u})
+    for (bool Echo : {false, true}) {
+      Configs.push_back({"fattree4", FatN, Fat, Shards, Echo});
+      Configs.push_back({"ring8", *RingC->N, Ring.Topo, Shards, Echo});
+    }
+  // Cross-shard heavy: round-robin placement sends most hops through a
+  // ring, so nearly every classifier output is exchanged into an egress
+  // slot bound for another shard.
+  Configs.push_back({"fattree4/modulo", FatN, Fat, 4, true,
+                     PartitionStrategy::Modulo});
+  Configs.push_back({"fattree4/dup+delay", FatN, Fat, 2, true,
+                     PartitionStrategy::Refined, &DupDelay});
+
+  for (const Config &Cf : Configs) {
     // The heavy warm-up rounds keep every dequeue batch full, so every
     // egress and batch slot holds a packet at least once, whatever the
     // timing of the measured rounds. Measured rounds vary in size, so
     // successive rounds start at shifting ring offsets. A ring holds a
     // whole measured round (an injection plus at most four cross-shard
-    // hops each way per ping), so they never spill to the overflow
-    // deque.
-    engine::TrafficGen G(Nw.Topo, 11);
+    // hops each way per ping, doubled at most by duplicates), so they
+    // never spill to the overflow deque.
+    engine::TrafficGen G(Cf.Topo, 11);
     engine::Workload Heavy = G.pings(4, 128);
     engine::Workload W = G.pings(3, 16);
     W += G.pings(1, 13);
     W += G.pings(1, 7);
-    for (unsigned Shards : {1u, 2u})
-      for (bool Echo : {false, true}) {
-        engine::EngineConfig Cfg;
-        Cfg.NumShards = Shards;
-        Cfg.QueueCapacity = 256;
-        Cfg.BatchSize = 4; // chunks publish mid-batch, not only at the end
-        Cfg.RecordTrace = false;
-        Cfg.EchoReplies = Echo;
-        engine::Engine E(Nw.N, Nw.Topo, Cfg);
-        E.start();
-        uint64_t Requests = 0;
-        auto Rounds = [&](const engine::Workload &Of, unsigned K) {
-          for (unsigned I = 0; I != K; ++I) {
-            const engine::Phase &Ph = Of.Phases[I % Of.Phases.size()];
-            E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
-            E.awaitQuiescence();
-            Requests += Ph.Injections.size();
-          }
-        };
-        Rounds(Heavy, 20);
-        Rounds(W, 50);
-        uint64_t Before = GAllocs.load(std::memory_order_relaxed);
-        Rounds(W, 50);
-        uint64_t After = GAllocs.load(std::memory_order_relaxed);
-        E.finish();
-
-        engine::Stats S = E.stats();
-        EXPECT_EQ(After - Before, 0u)
-            << Nw.Name << " shards=" << Shards << " echo=" << Echo
-            << ": warm injection rounds allocated";
-        // Every request is delivered, and with echo on so is its reply
-        // (replies count as injections).
-        EXPECT_EQ(S.PacketsInjected, Echo ? 2 * Requests : Requests)
-            << Nw.Name << " shards=" << Shards << " echo=" << Echo;
-        EXPECT_EQ(S.PacketsDelivered, S.PacketsInjected)
-            << Nw.Name << " shards=" << Shards << " echo=" << Echo;
+    engine::EngineConfig Cfg;
+    Cfg.NumShards = Cf.Shards;
+    Cfg.QueueCapacity = 256;
+    Cfg.BatchSize = 4; // chunks publish mid-batch, not only at the end
+    Cfg.RecordTrace = false;
+    Cfg.EchoReplies = Cf.Echo;
+    Cfg.Partition = Cf.Partition;
+    Cfg.Faults = Cf.Faults;
+    engine::Engine E(Cf.N, Cf.Topo, Cfg);
+    E.start();
+    uint64_t Requests = 0;
+    auto Rounds = [&](const engine::Workload &Of, unsigned K) {
+      for (unsigned I = 0; I != K; ++I) {
+        const engine::Phase &Ph = Of.Phases[I % Of.Phases.size()];
+        E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
+        E.awaitQuiescence();
+        Requests += Ph.Injections.size();
       }
+    };
+    Rounds(Heavy, 20);
+    Rounds(W, 50);
+    uint64_t Before = GAllocs.load(std::memory_order_relaxed);
+    Rounds(W, 50);
+    uint64_t After = GAllocs.load(std::memory_order_relaxed);
+    E.finish();
+
+    engine::Stats S = E.stats();
+    std::string Ctx = std::string(Cf.Name) +
+                      " shards=" + std::to_string(Cf.Shards) +
+                      " echo=" + std::to_string(Cf.Echo);
+    if (Cf.Faults) {
+      // The ledger is the run's output and grows with it: each shard's
+      // record vector may double once in the window (70 warm rounds, 50
+      // measured). The hops themselves, duplicated and delayed ones
+      // included, allocate nothing.
+      EXPECT_LE(After - Before, Cf.Shards)
+          << Ctx << ": warm injection rounds allocated";
+      // The fault plan fired on the copy paths it exists to cover.
+      EXPECT_GT(S.FaultDups, 0u) << Ctx;
+      EXPECT_GT(S.FaultDelays, 0u) << Ctx;
+      EXPECT_EQ(S.PacketsDelivered - S.DupDelivered, S.PacketsInjected)
+          << Ctx;
+      continue;
+    }
+    EXPECT_EQ(After - Before, 0u) << Ctx << ": warm injection rounds allocated";
+    // Every request is delivered, and with echo on so is its reply
+    // (replies count as injections).
+    EXPECT_EQ(S.PacketsInjected, Cf.Echo ? 2 * Requests : Requests) << Ctx;
+    EXPECT_EQ(S.PacketsDelivered, S.PacketsInjected) << Ctx;
   }
 }
 
