@@ -44,10 +44,14 @@ public:
   StreamCollector &operator=(const StreamCollector &) = delete;
 
   /// Stops the poll loop, drains the stream tail, degrades the verdict
-  /// with "trace_dropped" if the obs ring lost \p TraceDropped events
-  /// mid-run (and with "stream_backlog" if the shards shed stream items
-  /// because this collector lagged), and returns the final verdict.
-  /// Call exactly once, after the engine has finished.
+  /// with "stream_backlog" if the shards shed stream items because this
+  /// collector lagged, and returns the final verdict. Call exactly once,
+  /// after the engine has finished.
+  ///
+  /// \p TraceDropped > 0 degrades it with "trace_dropped". The checker
+  /// never reads the obs TraceRing, so the façade passes 0; the
+  /// parameter is kept only because perfbench/ still passes the ring's
+  /// drop count, and it is deleted with the next change to the benchmark.
   consistency::StreamResult finalize(uint64_t TraceDropped);
 
   /// Stream items the engine shed at StreamBufCap because this

@@ -45,8 +45,10 @@
 ///    retired entry, FO older than the retirement frontier, per-event
 ///    guard-match queue overflow);
 ///  - out_of_order: an entry committed behind the ticket frontier;
-///  - trace_dropped: the producer lost trace events (reported by the
-///    embedder via noteCause, e.g. from the engine's bounded obs ring);
+///  - trace_dropped: the producer lost entries of the trace this checker
+///    is fed (reported by the embedder via noteCause). Not the obs
+///    TraceRing's drops: that ring is a separate Perfetto channel the
+///    checker never reads;
 ///  - stream_backlog: the collector fell behind the data path and the
 ///    engine shed stream items at its per-shard buffer cap (reported by
 ///    the embedder via noteCause; see EngineConfig::StreamBufCap) — the

@@ -29,14 +29,20 @@ int64_t nowNs() {
 
 class Loadgen : public Session::FrameHandler {
 public:
-  Loadgen(const LoadgenConfig &Cfg, const std::atomic<bool> *Stop)
-      : C(Cfg), Stop(Stop) {
+  Loadgen(const LoadgenConfig &Cfg, const engine::Workload *W,
+          const std::atomic<bool> *Stop)
+      : C(Cfg), Stop(Stop), Replay(W != nullptr) {
     if (C.Connections == 0)
       C.Connections = 1;
+    if (Replay)
+      C.Phases = static_cast<unsigned>(W->Phases.size());
     if (C.Phases == 0)
       C.Phases = 1;
     if (C.Burst == 0)
       C.Burst = 1;
+    Clients.resize(C.Connections);
+    if (Replay)
+      deal(*W);
   }
 
   LoadgenStats run();
@@ -47,8 +53,13 @@ private:
     std::unique_ptr<Session> S;
     HostId From = 0;
     HostId To = 0;
-    uint64_t Sent = 0;        ///< injects sent (also the seq counter)
+    uint64_t Sent = 0;        ///< injects sent (the next frame's index)
     uint64_t PhaseTarget = 0; ///< cumulative inject target this phase
+    uint64_t MaxReqSeq = 0;   ///< highest echo-request seq sent
+    /// Replay only: the frames dealt to this connection, in order, and
+    /// the cumulative frame count at the end of each phase.
+    std::vector<WireFrame> Frames;
+    std::vector<uint64_t> PhaseEnd;
     unsigned ConnectAttempts = 0; ///< failed attempts so far
     int64_t NextConnectNs = 0;    ///< earliest time for the next attempt
     bool Connected = false;
@@ -65,6 +76,7 @@ private:
 
   bool onFrame(Session &S, const WireFrame &F) override;
 
+  void deal(const engine::Workload &W);
   void startConnect(size_t Idx);
   bool scheduleRetry(size_t Idx);
   void retryPending();
@@ -73,12 +85,25 @@ private:
   void flushClient(size_t Idx);
   void teardown(size_t Idx);
   void handleEvent(const Ready &Ev);
-  uint64_t phaseTarget(unsigned Ph) const {
-    return C.FramesPerConn * (Ph + 1) / C.Phases;
+  uint64_t phaseTarget(const Client &Cl, unsigned Ph) const {
+    return Replay ? Cl.PhaseEnd[Ph] : C.FramesPerConn * (Ph + 1) / C.Phases;
+  }
+  /// The connection's \p K-th Inject frame (0-based).
+  WireFrame frame(const Client &Cl, uint64_t K) const {
+    if (Replay)
+      return Cl.Frames[K];
+    WireFrame F;
+    F.T = WireFrame::Inject;
+    F.A = Cl.From;
+    F.B = Cl.To;
+    F.Kind = static_cast<uint32_t>(sim::KindRequest);
+    F.Seq = K + 1;
+    return F;
   }
 
   LoadgenConfig C;
   const std::atomic<bool> *Stop;
+  bool Replay;
   LoadgenStats St;
   Poller Poll;
   obs::LogHistogram Rtt;
@@ -88,6 +113,27 @@ private:
   bool DidWork = false;
   int64_t ConnectDeadlineNs = 0;
 };
+
+/// Deals injection I of each phase to connection I % Connections.
+void Loadgen::deal(const engine::Workload &W) {
+  for (Client &Cl : Clients)
+    Cl.PhaseEnd.assign(C.Phases, 0);
+  for (size_t P = 0; P != W.Phases.size(); ++P) {
+    const auto &Inj = W.Phases[P].Injections;
+    for (size_t I = 0; I != Inj.size(); ++I) {
+      const netkat::Packet &H = Inj[I].Header;
+      WireFrame F;
+      F.T = WireFrame::Inject;
+      F.A = static_cast<uint32_t>(H.getOr(sim::ipSrcField(), Inj[I].From));
+      F.B = static_cast<uint32_t>(H.getOr(sim::ipDstField(), 0));
+      F.Kind = static_cast<uint32_t>(H.getOr(sim::kindField(), 0));
+      F.Seq = static_cast<uint64_t>(H.getOr(sim::seqField(), 0));
+      Clients[I % Clients.size()].Frames.push_back(F);
+    }
+    for (Client &Cl : Clients)
+      Cl.PhaseEnd[P] = Cl.Frames.size();
+  }
+}
 
 void Loadgen::startConnect(size_t Idx) {
   Client &Cl = Clients[Idx];
@@ -106,7 +152,7 @@ void Loadgen::startConnect(size_t Idx) {
   SC.Role = SessionRole::Client;
   SC.Overload = engine::OverloadPolicy::Block;
   Cl.S = std::make_unique<Session>(Idx, SC);
-  Cl.PhaseTarget = phaseTarget(0);
+  Cl.PhaseTarget = phaseTarget(Cl, 0);
   // Write interest reports connect completion (TCP); UDP is ready now.
   Poll.add(Fd, Idx, /*Read=*/true, /*Write=*/true);
   Cl.WriteArmed = true;
@@ -159,12 +205,13 @@ bool Loadgen::onFrame(Session &S, const WireFrame &F) {
     if (F.Kind != static_cast<uint32_t>(sim::KindReply))
       return true; // the request's own delivery at the far host
     ++St.Replies;
-    if (F.Seq == 0 || F.Seq > Cl.Sent) {
+    if (F.Seq == 0 || F.Seq > Cl.MaxReqSeq) {
       ++St.SeqMismatches; // an echo we never sent
       return true;
     }
     // Replies come back in order per connection (TCP; approximately on
     // UDP), so matched and overtaken samples both leave from the front.
+    // A replay's request seqs rise per connection as the workload's do.
     auto &P = Cl.RttPending;
     size_t Drop = 0;
     for (; Drop != P.size() && P[Drop].first <= F.Seq; ++Drop)
@@ -200,17 +247,15 @@ void Loadgen::drive() {
       if (Cl.S->egressDepth() < 2 * C.Burst) {
         uint64_t Quota = std::min<uint64_t>(C.Burst, Cl.PhaseTarget - Cl.Sent);
         for (uint64_t K = 0; K != Quota; ++K) {
-          WireFrame F;
-          F.T = WireFrame::Inject;
-          F.A = Cl.From;
-          F.B = Cl.To;
-          F.Kind = static_cast<uint32_t>(sim::KindRequest);
-          F.Seq = ++Cl.Sent;
+          WireFrame F = frame(Cl, Cl.Sent++);
           Cl.S->enqueue(F);
           ++St.InjectsSent;
+          if (F.Kind != static_cast<uint32_t>(sim::KindRequest))
+            continue; // data and probes are never echoed
+          Cl.MaxReqSeq = std::max(Cl.MaxReqSeq, F.Seq);
           if (C.RttSampleEvery && Cl.Sent % C.RttSampleEvery == 0 &&
               Cl.RttPending.size() < 4096)
-            Cl.RttPending.push_back({Cl.Sent, nowNs()});
+            Cl.RttPending.push_back({F.Seq, nowNs()});
         }
         DidWork = true;
       }
@@ -267,7 +312,7 @@ void Loadgen::advancePhase() {
       continue;
     Cl.BarrierSent = false;
     Cl.BarrierAcked = false;
-    Cl.PhaseTarget = phaseTarget(Phase);
+    Cl.PhaseTarget = phaseTarget(Cl, Phase);
   }
 }
 
@@ -396,7 +441,6 @@ LoadgenStats Loadgen::run() {
   ConnectDeadlineNs =
       Start + static_cast<int64_t>(C.ConnectTimeoutMs) * 1000000;
 
-  Clients.resize(C.Connections);
   for (size_t I = 0; I != Clients.size(); ++I)
     startConnect(I);
 
@@ -440,6 +484,13 @@ LoadgenStats Loadgen::run() {
 
 LoadgenStats net::runLoadgen(const LoadgenConfig &C,
                              const std::atomic<bool> *Stop) {
-  Loadgen L(C, Stop);
+  Loadgen L(C, nullptr, Stop);
+  return L.run();
+}
+
+LoadgenStats net::runLoadgen(const LoadgenConfig &C,
+                             const engine::Workload &W,
+                             const std::atomic<bool> *Stop) {
+  Loadgen L(C, &W, Stop);
   return L.run();
 }

@@ -222,6 +222,28 @@ TEST(Facade, EngineObservabilityEndToEnd) {
   EXPECT_GT(Off->ConfigTransitions, 0u);
 }
 
+TEST(Facade, ObsRingDropsLeaveTheStreamingVerdictAlone) {
+  // The obs trace ring is a Perfetto channel the streaming checker never
+  // reads, so a ring too small for the run drops events without touching
+  // the verdict; only the checker's own stream loss (stream_shed) may.
+  Result<Compilation> C = compileFirewall();
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  Result<RunReport> R =
+      run(*C, "engine",
+          RunOptions().seed(7).shards(2).workload("churn").phases(4)
+              .pingsPerPhase(64)
+              .streamingCheck(true)
+              .traceEvents(16));
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  ASSERT_GT(R->TraceDropped, 0u) << "ring large enough for the whole run";
+  ASSERT_TRUE(R->StreamCheck.Enabled);
+  EXPECT_EQ(R->StreamCheck.StreamShed, 0u);
+  EXPECT_TRUE(R->StreamCheck.Result.ok())
+      << consistency::streamVerdictName(R->StreamCheck.Result.Verdict) << ": "
+      << R->StreamCheck.Result.Reason;
+}
+
 TEST(Facade, EngineReportExcusesOverloadShedsWithoutAPlan) {
   // A shed overload policy retires chains under plain pressure, with no
   // fault plan active. The shared engine-report fill must still hand the

@@ -13,6 +13,7 @@
 #include "api/Api.h"
 
 #include "apps/Programs.h"
+#include "engine/TrafficGen.h"
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,16 @@ void expectConservation(const RunReport &R) {
   EXPECT_EQ(R.Net.DeliveryFrames + R.Net.RingShed +
                 R.Net.DeliveryUnroutable + R.Net.NonNetDeliveries,
             R.PacketsDelivered);
+}
+
+/// The injection count of the workload run() realizes for \p O (pings
+/// per phase below the host-pair clamp): every one of them must cross
+/// the socket as an Inject frame.
+size_t workloadInjections(const Compilation &C, const RunOptions &O) {
+  engine::TrafficGen G(C.topology(), O.Seed);
+  if (O.Workload == "churn")
+    return G.churn(O.Phases, O.PingsPerPhase, O.ChurnRate).totalInjections();
+  return G.pings(O.Phases, O.PingsPerPhase).totalInjections();
 }
 
 } // namespace
@@ -71,7 +82,7 @@ TEST(NetBackend, TcpRunIsConsistentAndConserving) {
   // One barrier per connection per phase, all acked.
   EXPECT_EQ(R->Net.BarriersAcked, 3u * 3u);
 
-  // Block policy + clean drain: the replay client saw every frame the
+  // Block policy + clean drain: the load generator saw every frame the
   // server routed, and frames_in never undercounts the echoes.
   EXPECT_EQ(R->Net.BackpressureShed, 0u);
   EXPECT_EQ(R->Net.ClientDelivers, R->Net.DeliveryFrames);
@@ -104,22 +115,26 @@ TEST(NetBackend, UdpRunIsConsistentAndConserving) {
   Result<Compilation> C = compileFirewall();
   ASSERT_TRUE(C.ok()) << C.status().str();
 
-  Result<RunReport> R =
-      run(*C, "net",
-          RunOptions().seed(11).shards(2).phases(2).pingsPerPhase(4)
-              .netConnections(2).netUdp(true));
-  ASSERT_TRUE(R.ok()) << R.status().str();
+  // Churn sends data and probe frames, which are never echoed.
+  for (const char *Workload : {"ping", "churn"}) {
+    SCOPED_TRACE(Workload);
+    RunOptions O = RunOptions().seed(11).shards(2).phases(2).pingsPerPhase(4)
+                       .netConnections(2).netUdp(true).workload(Workload);
+    Result<RunReport> R = run(*C, "net", O);
+    ASSERT_TRUE(R.ok()) << R.status().str();
 
-  EXPECT_TRUE(R->Net.Udp);
-  EXPECT_GT(R->Net.UdpDatagrams, 0u);
-  EXPECT_EQ(R->Net.Accepted, 2u);
-  EXPECT_EQ(R->Net.ProtocolErrors, 0u);
-  EXPECT_GT(R->Net.FramesInjected, 0u);
-  expectConservation(*R);
+    EXPECT_TRUE(R->Net.Udp);
+    EXPECT_GT(R->Net.UdpDatagrams, 0u);
+    EXPECT_EQ(R->Net.Accepted, 2u);
+    EXPECT_EQ(R->Net.ProtocolErrors, 0u);
+    EXPECT_GT(R->Net.FramesInjected, 0u);
+    EXPECT_EQ(R->Net.FramesInjected, workloadInjections(*C, O));
+    expectConservation(*R);
 
-  ASSERT_TRUE(R->Checked);
-  EXPECT_TRUE(R->Consistency.Correct) << R->Consistency.Reason;
-  EXPECT_TRUE(R->Audit.Ok);
+    ASSERT_TRUE(R->Checked);
+    EXPECT_TRUE(R->Consistency.Correct) << R->Consistency.Reason;
+    EXPECT_TRUE(R->Audit.Ok);
+  }
 }
 
 TEST(NetBackend, WorkloadRealizationIsDeterministic) {
@@ -130,13 +145,22 @@ TEST(NetBackend, WorkloadRealizationIsDeterministic) {
   Result<Compilation> C = compileFirewall();
   ASSERT_TRUE(C.ok()) << C.status().str();
 
-  RunOptions O = RunOptions().seed(21).phases(3).pingsPerPhase(3)
-                     .netConnections(2);
-  Result<RunReport> A = run(*C, "net", O);
-  Result<RunReport> B = run(*C, "net", O);
-  ASSERT_TRUE(A.ok() && B.ok());
-  EXPECT_EQ(A->Net.FramesInjected, B->Net.FramesInjected);
-  EXPECT_EQ(A->Net.BarriersAcked, B->Net.BarriersAcked);
+  for (const char *Workload : {"ping", "churn"}) {
+    SCOPED_TRACE(Workload);
+    RunOptions O = RunOptions().seed(21).phases(3).pingsPerPhase(3)
+                       .netConnections(2).workload(Workload);
+    Result<RunReport> A = run(*C, "net", O);
+    Result<RunReport> B = run(*C, "net", O);
+    ASSERT_TRUE(A.ok() && B.ok());
+    EXPECT_EQ(A->Net.FramesInjected, B->Net.FramesInjected);
+    EXPECT_EQ(A->Net.BarriersAcked, B->Net.BarriersAcked);
+    EXPECT_EQ(A->Net.FramesInjected, workloadInjections(*C, O));
+    EXPECT_EQ(A->Net.ProtocolErrors, 0u);
+    ASSERT_TRUE(A->Checked);
+    EXPECT_TRUE(A->Consistency.Correct) << A->Consistency.Reason;
+    EXPECT_TRUE(A->Audit.Ok);
+    expectConservation(*A);
+  }
 }
 
 TEST(NetBackend, RejectsSillyConnectionCounts) {

@@ -3,7 +3,8 @@
 // The full socket pipeline in-process: a net::Server bound to an
 // ephemeral loopback port, fed by a real engine through its
 // DeliverySink, driven by the multi-connection load generator over TCP
-// and UDP. Asserts the generator's own validation (every reply's seq was
+// and UDP, generating echo traffic or replaying an engine::Workload.
+// Asserts the generator's own validation (every reply's seq was
 // sent, no protocol errors, no timeout), frame-level agreement between
 // the two ends of the wire, delivery conservation on the server, and
 // Definition 6 on the engine's recorded trace.
@@ -14,6 +15,7 @@
 
 #include "apps/Programs.h"
 #include "consistency/Check.h"
+#include "engine/TrafficGen.h"
 #include "net/Loadgen.h"
 #include "net/Server.h"
 
@@ -71,6 +73,11 @@ struct Loopback {
   net::LoadgenStats drive(net::LoadgenConfig LC) {
     LC.Port = Srv.port();
     return net::runLoadgen(LC);
+  }
+
+  net::LoadgenStats replay(net::LoadgenConfig LC, const engine::Workload &W) {
+    LC.Port = Srv.port();
+    return net::runLoadgen(LC, W);
   }
 };
 
@@ -223,4 +230,51 @@ TEST(NetLoadgen, ManyConnections) {
   EXPECT_EQ(SS.Accepted, 64u);
   EXPECT_EQ(SS.Closed, 64u);
   EXPECT_EQ(SS.FramesInjected, S.InjectsSent);
+}
+
+TEST(NetLoadgen, ReplaysAWorkloadOverTcpAndUdp) {
+  // A replayed workload deals injection I of each phase to connection
+  // I % Connections, so a connection's request seqs are a sparse,
+  // increasing subset of the workload's rather than 1..n; the reply
+  // check must hold against what the connection actually sent.
+  for (bool Udp : {false, true}) {
+    SCOPED_TRACE(Udp ? "udp" : "tcp");
+    Loopback L;
+    ASSERT_TRUE(L.C.ok()) << L.C.status().str();
+    ASSERT_TRUE(L.Opened);
+
+    const unsigned Phases = 3;
+    engine::TrafficGen G(L.C->topology(), 5);
+    engine::Workload W = G.pings(Phases, 8);
+
+    net::LoadgenConfig LC;
+    LC.Udp = Udp;
+    LC.Connections = Udp ? 2 : 3;
+    LC.Burst = 4;
+    LC.RttSampleEvery = 1;
+    net::LoadgenStats S = L.replay(LC, W);
+    L.shutdown();
+
+    EXPECT_TRUE(S.ok()) << S.ProtocolErrors << " protocol errors, "
+                        << S.SeqMismatches << " seq mismatches, timed_out="
+                        << S.TimedOut;
+    EXPECT_EQ(S.SeqMismatches, 0u);
+    EXPECT_EQ(S.Connected, LC.Connections);
+    EXPECT_EQ(S.InjectsSent, W.totalInjections());
+    EXPECT_EQ(S.BarrierAcks, LC.Connections * Phases);
+    EXPECT_GT(S.Replies, 0u);
+    EXPECT_GT(S.RttNs.TotalCount, 0u);
+
+    net::ServerStats SS = L.Srv.stats();
+    EXPECT_EQ(SS.ProtocolErrors, 0u);
+    EXPECT_EQ(SS.FramesInjected, W.totalInjections());
+    // One Deliver frame on the client per delivery the server routed.
+    EXPECT_EQ(S.Delivers, SS.DeliveryFrames);
+    EXPECT_EQ(S.Replies, SS.RepliesOut);
+
+    engine::Stats ES = L.E->stats();
+    EXPECT_EQ(SS.DeliveryFrames + SS.RingShed + SS.DeliveryUnroutable +
+                  SS.NonNetDeliveries,
+              ES.PacketsDelivered);
+  }
 }
